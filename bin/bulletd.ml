@@ -170,18 +170,41 @@ let run tcp_port data_dir size_mb max_files cache_mb fault_plan =
     if !requests mod 16 = 0 then save_state ();
     reply
   in
+  (* One lock orders request handling and the exit save. SIGINT/SIGTERM
+     are blocked in every thread (threads inherit the mask) and taken
+     synchronously by one waiter, which saves under the lock and exits
+     still holding it: the save runs once, and no request runs during or
+     after it. *)
+  let lock = Mutex.create () in
+  let shutdown () =
+    Mutex.lock lock;
+    Printf.printf "saving state and exiting\n%!";
+    match save_state () with
+    | () -> exit 0
+    | exception e ->
+      (* a waiter thread dying here would leave the lock held and the
+         daemon up, refusing every request *)
+      Printf.eprintf "saving state failed: %s\n%!" (Printexc.to_string e);
+      exit 1
+  in
+  let exit_signals = [ Sys.sigint; Sys.sigterm ] in
+  let (_ : int list) = Thread.sigmask Unix.SIG_BLOCK exit_signals in
+  (* an inherited "ignore" (a shell's background job) would discard the
+     signal before the waiter could take it *)
+  List.iter (fun s -> Sys.set_signal s Sys.Signal_default) exit_signals;
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () ->
+        let (_ : int) = Thread.wait_signal exit_signals in
+        shutdown ())
+      ()
+  in
   let tcp = Amoeba_rpc.Tcp.listen ~port:tcp_port () in
   Printf.printf "listening on 127.0.0.1:%d (data in %s)\n%!" (Amoeba_rpc.Tcp.bound_port tcp)
     data_dir;
-  let quit _signal =
-    Printf.printf "saving state and exiting\n%!";
-    save_state ();
-    exit 0
-  in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle quit);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle quit);
+  let handler request = Mutex.protect lock (fun () -> handler request) in
   (try Amoeba_rpc.Tcp.serve_forever tcp ~handler with Unix.Unix_error _ -> ());
-  save_state ()
+  shutdown ()
 
 open Cmdliner
 

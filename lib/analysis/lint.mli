@@ -4,7 +4,7 @@
     repo's own sources that enforces the simulation's core invariant:
     same plan + same workload ⇒ same bytes. Rule ids and their
     rationale are documented in doc/ARCHITECTURE.md ("Determinism
-    rules"); [bin/amoeba_lint] is the command-line driver and a dune
+    rules"); [bin/amoeba_vet] is the command-line driver and a dune
     rule runs it over [lib/] and [bin/] as part of [dune runtest].
 
     The OS rules ([no-wallclock], [no-os-entropy], [no-marshal]) apply

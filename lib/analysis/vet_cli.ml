@@ -1,7 +1,6 @@
-(* Shared command-line driver behind bin/amoeba_vet (and its alias
-   bin/amoeba_lint). Composes the Parsetree lint (pass "lint") with the
-   typedtree passes ("proto", "clock", "taint") from Vet, over the same
-   path arguments the PR-2 linter took. *)
+(* Command-line driver behind bin/amoeba_vet. Composes the Parsetree
+   lint (pass "lint") with the typedtree passes ("proto", "clock",
+   "taint") from Vet, over lib/ and bin/ paths. *)
 
 let usage prog =
   Printf.eprintf

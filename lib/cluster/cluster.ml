@@ -10,27 +10,24 @@ module Federation = Amoeba_wan.Federation
 module Metrics = Amoeba_metrics.Metrics
 module Trace = Amoeba_trace.Trace
 module Sink = Amoeba_trace.Sink
+module Dirty = Amoeba_disk.Dirty
 
-type config = {
-  shards : int;
-  vnodes : int;
-  replicas : int;
-  server_sectors : int;
-  max_files : int;
-  migrate_batch : int;
-  route_refresh_us : int;
-}
+let shards = 64
 
-let default_config =
-  {
-    shards = 64;
-    vnodes = 64;
-    replicas = 2;
-    server_sectors = 4096;
-    max_files = 255;
-    migrate_batch = 4;
-    route_refresh_us = 50_000;
-  }
+let replicas = 2
+
+let server_sectors = 4096
+
+let max_files = 255
+
+(* object copies per rebalance step *)
+let migrate_batch = 4
+
+(* virtual µs between load-hint refreshes *)
+let route_refresh_us = 50_000
+
+(* runaway guard on a full rebalance *)
+let max_steps = 10_000
 
 type node_status = Alive | Retired | Dead
 
@@ -47,12 +44,12 @@ type node = {
 type entry = { mutable holds : (string * Cap.t) list (* sorted by server name *) }
 
 type t = {
-  config : config;
   clock : Clock.t;
   transport : Amoeba_rpc.Transport.t;
   nodes : (string, node) Hashtbl.t;
   mutable ring : Ring.t;
-  dirty : Shard_map.t;
+  dirty : Dirty.t; (* one bit per shard *)
+  mutable draining : int option; (* the shard the last rebalance step took *)
   directory : (string, entry) Hashtbl.t;
   clients : (string, Client.t) Hashtbl.t; (* keyed "<from>->'<server>" *)
   stats : Stats.t;
@@ -63,17 +60,15 @@ type t = {
 
 exception Unknown_server of string
 
-let create ?(config = default_config) () =
-  if config.shards <= 0 then invalid_arg "Cluster.create: shards must be positive";
-  if config.replicas <= 0 then invalid_arg "Cluster.create: replicas must be positive";
+let create () =
   let clock = Clock.create () in
   {
-    config;
     clock;
     transport = Amoeba_rpc.Transport.create ~clock;
     nodes = Hashtbl.create 8;
-    ring = Ring.create ~vnodes:config.vnodes ();
-    dirty = Shard_map.create ~shards:config.shards;
+    ring = Ring.empty;
+    dirty = Dirty.create ~sectors:shards;
+    draining = None;
     directory = Hashtbl.create 64;
     clients = Hashtbl.create 16;
     stats = Stats.create "cluster";
@@ -81,8 +76,6 @@ let create ?(config = default_config) () =
     last_hint_us = 0;
     hinted_once = false;
   }
-
-let config t = t.config
 
 let clock t = t.clock
 
@@ -110,14 +103,13 @@ let server_mirror t name = (node t name).mirror
 
 let shard_key i = Printf.sprintf "shard-%03d" i
 
-let shard_of t key =
-  Int64.to_int (Int64.unsigned_rem (Ring.position_of key) (Int64.of_int t.config.shards))
+let shard_of key = Int64.to_int (Int64.unsigned_rem (Ring.position_of key) (Int64.of_int shards))
 
 let ring t = t.ring
 
-let desired_of_shard t s = Ring.owners t.ring ~r:t.config.replicas (shard_key s)
+let desired_of_shard t s = Ring.owners t.ring ~r:replicas (shard_key s)
 
-let desired t key = desired_of_shard t (shard_of t key)
+let desired t key = desired_of_shard t (shard_of key)
 
 let entry t key =
   match Hashtbl.find_opt t.directory key with Some e -> e | None -> raise Not_found
@@ -158,10 +150,10 @@ let client_for t ~from name =
    membership change disturbs, so the rebalancer never touches anything
    else. *)
 let mark_delta t ~before ~after =
-  let r = t.config.replicas in
-  for i = 0 to t.config.shards - 1 do
+  for i = 0 to shards - 1 do
     let k = shard_key i in
-    if Ring.owners before ~r k <> Ring.owners after ~r k then Shard_map.mark t.dirty i
+    if Ring.owners before ~r:replicas k <> Ring.owners after ~r:replicas k then
+      Dirty.mark t.dirty ~sector:i ~count:1
   done
 
 let valid_name name =
@@ -173,11 +165,11 @@ let add_server t ~name ~region =
   if not (valid_name region) then invalid_arg "Cluster.add_server: bad region name";
   if Hashtbl.mem t.nodes name then
     invalid_arg (Printf.sprintf "Cluster.add_server: server %s exists" name);
-  let geometry = Amoeba_disk.Geometry.small ~sectors:t.config.server_sectors in
+  let geometry = Amoeba_disk.Geometry.small ~sectors:server_sectors in
   let d1 = Amoeba_disk.Block_device.create ~id:(name ^ "-1") ~geometry ~clock:t.clock in
   let d2 = Amoeba_disk.Block_device.create ~id:(name ^ "-2") ~geometry ~clock:t.clock in
   let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:t.config.max_files;
+  Server.format mirror ~max_files;
   (* FNV-1a over the server name, as the federation does for sites: the
      same cluster build always mints the same capabilities. *)
   let seed = Prng.seed_of_string name in
@@ -236,7 +228,7 @@ let node_reads n =
    equal-distance replicas deterministically. *)
 let refresh_hints t =
   let now = Clock.now t.clock in
-  if (not t.hinted_once) || now - t.last_hint_us >= t.config.route_refresh_us then begin
+  if (not t.hinted_once) || now - t.last_hint_us >= route_refresh_us then begin
     t.hinted_once <- true;
     t.last_hint_us <- now;
     List.iter
@@ -318,7 +310,7 @@ let copy_to t ~key ~e ~target =
           | Some src ->
             Trace.event tr ~layer:Sink.Server ~name:"cluster.migrate.copied"
               [ ("key", Sink.S key); ("from", Sink.S src); ("to", Sink.S target);
-                ("shard", Sink.I (shard_of t key)) ];
+                ("shard", Sink.I (shard_of key)) ];
             Some src)
   in
   match outcome with
@@ -388,19 +380,26 @@ let delete t ?(from = "client") key =
 
 (* ---- rebalancing ---- *)
 
-let shards_remaining t = Shard_map.remaining t.dirty
+let shards_remaining t = Dirty.remaining t.dirty
 
 let rebalancing t = shards_remaining t > 0
 
 let shard_entries t s =
-  List.filter (fun (key, _) -> shard_of t key = s) (Tbl.sorted_bindings String.compare t.directory)
+  List.filter (fun (key, _) -> shard_of key = s) (Tbl.sorted_bindings String.compare t.directory)
 
-let rebalance_step ?batch t =
-  let batch = match batch with Some b -> b | None -> t.config.migrate_batch in
-  if batch <= 0 then invalid_arg "Cluster.rebalance_step: batch must be positive";
-  match Shard_map.next t.dirty with
+(* The shard the last step took comes first while it is still dirty, so
+   an interrupted drain resumes there; otherwise the bitmap's circular
+   scan picks the next one (its cursor has already moved past it). *)
+let next_shard t =
+  match t.draining with
+  | Some s when Dirty.is_dirty t.dirty ~sector:s ~count:1 -> Some s
+  | Some _ | None -> Option.map fst (Dirty.next_run t.dirty ~limit:1)
+
+let rebalance_step t =
+  match next_shard t with
   | None -> 0
   | Some s ->
+    t.draining <- Some s;
     let group = desired_of_shard t s in
     let copied = ref 0 in
     let complete = ref true in
@@ -411,7 +410,7 @@ let rebalance_step ?batch t =
           List.iter
             (fun target ->
               if not (List.mem_assoc target e.holds) then
-                if !copied >= batch then complete := false
+                if !copied >= migrate_batch then complete := false
                 else if copy_to t ~key ~e ~target then incr copied
                 else complete := false)
             group)
@@ -437,23 +436,23 @@ let rebalance_step ?batch t =
             surplus;
           e.holds <- List.filter (fun (srv, _) -> List.mem srv group) e.holds)
         entries;
-      Shard_map.clear t.dirty s;
+      Dirty.clear t.dirty ~sector:s ~count:1;
       Stats.incr t.stats "shards_migrated"
     end;
     !copied
 
-let rebalance ?batch ?(max_steps = 10_000) t =
+let rebalance t =
   let total = ref 0 in
   let steps = ref 0 in
   while rebalancing t && !steps < max_steps do
-    total := !total + rebalance_step ?batch t;
+    total := !total + rebalance_step t;
     incr steps
   done;
   !total
 
 let under_replicated t =
   let live_count = List.length (Ring.members t.ring) in
-  let want = min t.config.replicas (max live_count 1) in
+  let want = min replicas (max live_count 1) in
   List.filter_map
     (fun (key, e) ->
       let live = List.filter (fun (srv, _) -> alive t srv) e.holds in
@@ -465,8 +464,8 @@ let under_replicated t =
 let checkpoint t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "# bullet cluster directory v1\n";
-  Buffer.add_string buf (Printf.sprintf "shards %d\n" t.config.shards);
-  Buffer.add_string buf (Printf.sprintf "replicas %d\n" t.config.replicas);
+  Buffer.add_string buf (Printf.sprintf "shards %d\n" shards);
+  Buffer.add_string buf (Printf.sprintf "replicas %d\n" replicas);
   List.iter
     (fun (name, region, status) ->
       Buffer.add_string buf (Printf.sprintf "server %s %s %s\n" name region status))

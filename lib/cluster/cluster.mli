@@ -14,12 +14,13 @@
     are ranked with {!Amoeba_wan.Federation.rank_replicas} — link class
     between the reader's region and the server's region first, then a
     live load hint read from the server's {!Amoeba_metrics.Metrics}
-    registry (refreshed every [route_refresh_us] of virtual time, with
-    reads routed since the refresh added on top), then the name.
+    registry (refreshed every 50 ms of virtual time, with reads routed
+    since the refresh added on top), then the name.
 
     Rebalancing reuses the online sectored-resync pattern one level up:
-    a membership change marks the ring-delta shards in a {!Shard_map},
-    and {!rebalance_step} drains one shard at a time in bounded object
+    a membership change marks the ring-delta shards in an
+    {!Amoeba_disk.Dirty} bitmap (one bit per shard), and
+    {!rebalance_step} drains one shard at a time in bounded object
     batches whose copy RPCs are charged on the virtual clock — stealing
     foreground time rather than happening for free. A foreground read
     whose ring-preferred replicas have not been migrated yet {e falls
@@ -31,25 +32,16 @@
 
 type t
 
-type config = {
-  shards : int;  (** fixed shard space the ring places (default 64) *)
-  vnodes : int;  (** ring virtual nodes per server *)
-  replicas : int;  (** R — copies per object *)
-  server_sectors : int;  (** per-server mirrored-drive size *)
-  max_files : int;  (** per-server inode table size *)
-  migrate_batch : int;  (** object copies per {!rebalance_step} *)
-  route_refresh_us : int;  (** load-hint refresh interval (virtual µs) *)
-}
+val shards : int
+(** The fixed shard space the ring places: 64. *)
 
-val default_config : config
-(** 64 shards, 64 vnodes, R = 2, 4096-sector drives, 255 inodes, 4
-    copies per step, 50 ms hint refresh. *)
+val replicas : int
+(** R — copies per object: 2. Each server runs two mirrored
+    4096-sector drives with a 255-entry inode table. *)
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 (** An empty cluster with a fresh virtual clock and shared transport —
     no servers yet. *)
-
-val config : t -> config
 
 val clock : t -> Amoeba_sim.Clock.t
 
@@ -128,7 +120,7 @@ val keys : t -> string list
 
 val objects_total : t -> int
 
-val shard_of : t -> string -> int
+val shard_of : string -> int
 (** The shard an object key hashes to. *)
 
 val shard_key : int -> string
@@ -145,19 +137,19 @@ val holders : t -> string -> string list
 
 (** {1 Rebalancing} *)
 
-val rebalance_step : ?batch:int -> t -> int
+val rebalance_step : t -> int
 (** Drain one bounded slice of the dirty-shard backlog: take the next
-    dirty shard, copy at most [batch] (default [migrate_batch]) missing
-    replicas to their ring-desired servers — each copy a charged read
-    off the nearest live holder plus a charged create on the target —
-    and, once the shard needs nothing more, delete surplus copies on
-    servers no longer in its groups and clear its bit. Returns the
-    number of objects copied; [0] means nothing was dirty. An
-    interrupted shard resumes exactly where it stopped. *)
+    dirty shard, copy at most 4 missing replicas to their ring-desired
+    servers — each copy a charged read off the nearest live holder plus
+    a charged create on the target — and, once the shard needs nothing
+    more, delete surplus copies on servers no longer in its groups and
+    clear its bit. Returns the number of objects copied; [0] means
+    nothing was dirty. An interrupted shard resumes exactly where it
+    stopped: the next step takes the same shard while it is dirty. *)
 
-val rebalance : ?batch:int -> ?max_steps:int -> t -> int
-(** Run {!rebalance_step} until the backlog is empty (or [max_steps],
-    default 10,000, a runaway guard). Returns total objects copied. *)
+val rebalance : t -> int
+(** Run {!rebalance_step} until the backlog is empty (or 10,000 steps,
+    a runaway guard). Returns total objects copied. *)
 
 val rebalancing : t -> bool
 

@@ -7,10 +7,12 @@ module Prng = Amoeba_sim.Prng
 type point = { pos : int64; member : string; index : int }
 
 type t = {
-  vnodes : int;
   members : string list; (* sorted *)
   points : point array; (* sorted *)
 }
+
+(* points each member contributes to the circle *)
+let vnodes = 64
 
 let compare_point a b =
   match Int64.unsigned_compare a.pos b.pos with
@@ -26,11 +28,7 @@ let compare_point a b =
    SplitMix64 step, mixing every bit while staying compiler-stable. *)
 let position_of s = Prng.next_int64 (Prng.of_name s)
 
-let create ?(vnodes = 16) () =
-  if vnodes <= 0 then invalid_arg "Ring.create: vnodes must be positive";
-  { vnodes; members = []; points = [||] }
-
-let vnodes t = t.vnodes
+let empty = { members = []; points = [||] }
 
 let mem t name = List.exists (String.equal name) t.members
 
@@ -38,7 +36,7 @@ let members t = t.members
 
 let size t = List.length t.members
 
-let rebuild vnodes members =
+let rebuild members =
   let point member index =
     { pos = position_of (Printf.sprintf "%s#%d" member index); member; index }
   in
@@ -46,16 +44,16 @@ let rebuild vnodes members =
     Array.of_list (List.concat_map (fun m -> List.init vnodes (point m)) members)
   in
   Array.sort compare_point points;
-  { vnodes; members; points }
+  { members; points }
 
 let add t name =
   if name = "" then invalid_arg "Ring.add: empty member name";
   if mem t name then invalid_arg (Printf.sprintf "Ring.add: member %s exists" name);
-  rebuild t.vnodes (List.sort String.compare (name :: t.members))
+  rebuild (List.sort String.compare (name :: t.members))
 
 let remove t name =
   if not (mem t name) then invalid_arg (Printf.sprintf "Ring.remove: unknown member %s" name);
-  rebuild t.vnodes (List.filter (fun m -> not (String.equal m name)) t.members)
+  rebuild (List.filter (fun m -> not (String.equal m name)) t.members)
 
 (* First point at or clockwise-after the key's position (wrapping). *)
 let successor t pos =

@@ -1,6 +1,6 @@
 (** A deterministic consistent-hash ring with virtual nodes.
 
-    Each member contributes [vnodes] points on a 64-bit circle; a key
+    Each member contributes 64 virtual-node points on a 64-bit circle; a key
     hashes to a point and is owned by the next [r] {e distinct} members
     clockwise from it. Every position is {!position_of} the member name
     and vnode index, so the same member set always produces the same
@@ -23,11 +23,8 @@ val position_of : string -> int64
     that while staying compiler-stable. Exposed so shard spaces built
     over the ring hash keys the same way. *)
 
-val create : ?vnodes:int -> unit -> t
-(** An empty ring; every member added will contribute [vnodes] points
-    (default 16). Raises [Invalid_argument] when [vnodes <= 0]. *)
-
-val vnodes : t -> int
+val empty : t
+(** The ring with no members. *)
 
 val add : t -> string -> t
 (** Ring with one more member. Raises [Invalid_argument] if the member

@@ -730,36 +730,39 @@ let scale_experiment ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64; 128 ]) ?(think_
   let bullet_wire = wire Amoeba_rpc.Net_model.amoeba in
   let nfs_wire = wire Amoeba_rpc.Net_model.sunos_nfs in
   let think_us = think_ms * 1000 in
+  (* the closed loop: the server queues (one FIFO station), the wire
+     only delays (the Ethernet has capacity to spare at these rates) *)
+  let open Amoeba_sched in
+  let closed_loop ~server_us ~wire_us clients =
+    {
+      Sched.stations =
+        [ Sched.station "server" Sched.Fifo; Sched.station "wire" ~layer:Amoeba_trace.Sink.Net Sched.Delay ];
+      profiles = [ { Sched.pr_name = "request"; pr_segments = [ (0, server_us); (1, wire_us) ] } ];
+      clients;
+      think_us;
+      requests_per_client = 50;
+      overload = Sched.no_overload;
+    }
+  in
   let points ~server_us ~wire_us =
     let run clients =
-      let report =
-        Amoeba_pool.Closed_loop.run
-          {
-            Amoeba_pool.Closed_loop.clients;
-            think_us;
-            server_us;
-            wire_us;
-            requests_per_client = 50;
-          }
-      in
+      let report = Sched.run (closed_loop ~server_us ~wire_us clients) in
+      let server = List.hd report.Sched.station_reports in
       {
         clients;
-        throughput_per_sec = report.Amoeba_pool.Closed_loop.throughput_per_sec;
-        mean_response_ms = report.Amoeba_pool.Closed_loop.mean_response_ms;
-        utilisation = report.Amoeba_pool.Closed_loop.server_utilisation;
+        throughput_per_sec = report.Sched.throughput_per_sec;
+        mean_response_ms = report.Sched.mean_response_ms;
+        utilisation = server.Sched.utilisation;
       }
     in
     List.map run client_counts
   in
+  let knee ~server_us ~wire_us = Sched.saturation_clients (closed_loop ~server_us ~wire_us 1) in
   {
     bullet_service_us;
     nfs_service_us;
-    bullet_knee =
-      Amoeba_pool.Closed_loop.saturation_clients ~server_us:bullet_service_us ~think_us
-        ~wire_us:bullet_wire;
-    nfs_knee =
-      Amoeba_pool.Closed_loop.saturation_clients ~server_us:nfs_service_us ~think_us
-        ~wire_us:nfs_wire;
+    bullet_knee = knee ~server_us:bullet_service_us ~wire_us:bullet_wire;
+    nfs_knee = knee ~server_us:nfs_service_us ~wire_us:nfs_wire;
     bullet_points = points ~server_us:bullet_service_us ~wire_us:bullet_wire;
     nfs_points = points ~server_us:nfs_service_us ~wire_us:nfs_wire;
   }
@@ -3168,7 +3171,6 @@ let cluster_run () =
   List.iter (fun (key, data) -> Cluster.put c ~from:"west" ~key data) contents;
   let hold0 = List.map (fun key -> (key, Cluster.holders c key)) cluster_keys in
   let ring0 = Cluster.ring c in
-  let cfg = Cluster.config c in
   let reg = Server.metrics (Cluster.server c "ant") in
   Cluster.register_metrics c reg;
   let interval_us = 500_000 in
@@ -3202,8 +3204,8 @@ let cluster_run () =
       ~clock plan
   in
   let shard_moved ~before ~after i =
-    Cluster_ring.owners before ~r:cfg.Cluster.replicas (Cluster.shard_key i)
-    <> Cluster_ring.owners after ~r:cfg.Cluster.replicas (Cluster.shard_key i)
+    Cluster_ring.owners before ~r:Cluster.replicas (Cluster.shard_key i)
+    <> Cluster_ring.owners after ~r:Cluster.replicas (Cluster.shard_key i)
   in
   Cluster.add_server c ~name:"dog" ~region:"east";
   Cluster.add_server c ~name:"emu" ~region:"west";
@@ -3212,7 +3214,7 @@ let cluster_run () =
     List.length
       (List.filter
          (shard_moved ~before:ring0 ~after:(Cluster.ring c))
-         (List.init cfg.Cluster.shards Fun.id))
+         (List.init Cluster.shards Fun.id))
   in
   let polled = ref 0 and unreadable = ref 0 and under_peak = ref 0 and idx = ref 0 in
   let read key =
@@ -3265,7 +3267,7 @@ let cluster_run () =
   let ring_final = Cluster.ring c in
   let untouched =
     List.filter
-      (fun key -> not (shard_moved ~before:ring0 ~after:ring_final (Cluster.shard_of c key)))
+      (fun key -> not (shard_moved ~before:ring0 ~after:ring_final (Cluster.shard_of key)))
       cluster_keys
   in
   let untouched_moved =
@@ -3283,8 +3285,8 @@ let cluster_run () =
   let parses =
     match Cluster.parse_checkpoint ck with
     | Ok info ->
-      info.Cluster.ck_shards = cfg.Cluster.shards
-      && info.Cluster.ck_replicas = cfg.Cluster.replicas
+      info.Cluster.ck_shards = Cluster.shards
+      && info.Cluster.ck_replicas = Cluster.replicas
       && List.length info.Cluster.ck_servers = 5
       && List.length info.Cluster.ck_objects = List.length cluster_keys
     | Error _ -> false
@@ -3329,7 +3331,7 @@ let assert_cluster_invariants r =
   in
   check "join marks exactly the ring-delta shards" (r.cl_join_delta = r.cl_join_expected);
   check "join delta is a strict subset of the shard space"
-    (r.cl_join_delta > 0 && r.cl_join_delta < Cluster.default_config.Cluster.shards);
+    (r.cl_join_delta > 0 && r.cl_join_delta < Cluster.shards);
   check "some shards lie outside every delta" (r.cl_untouched > 0);
   check "untouched shards never moved" (r.cl_untouched_moved = 0);
   check "the scripted kill fired mid-migration" r.cl_kill_fired;
@@ -3341,7 +3343,7 @@ let assert_cluster_invariants r =
   check "the kill cost replicas" (r.cl_under_peak > 0);
   check "healed: zero under-replicated" (r.cl_under_final = 0);
   check "healed: exactly R live copies everywhere"
-    (r.cl_spread = (Cluster.default_config.Cluster.replicas, Cluster.default_config.Cluster.replicas));
+    (r.cl_spread = (Cluster.replicas, Cluster.replicas));
   check "all objects survive" (r.cl_objects = List.length cluster_keys);
   check "four servers remain live" (r.cl_live_servers = 4);
   (match List.map snd r.cl_scenario.ms_transitions with
@@ -3436,8 +3438,8 @@ let cluster_bench_rig n =
 let cluster_bench_join c =
   let before = Cluster.ring c in
   Cluster.add_server c ~name:"dog" ~region:"east";
-  let r = (Cluster.config c).Cluster.replicas in
-  let shards = (Cluster.config c).Cluster.shards in
+  let r = Cluster.replicas in
+  let shards = Cluster.shards in
   List.length
     (List.filter
        (fun i ->

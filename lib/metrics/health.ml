@@ -29,39 +29,18 @@ let same_kind a b =
   | (Healthy | Degraded _ | Overloaded _ | Lease_churning | Txn_stuck _ | Rebalancing _), _ ->
     false
 
-type config = {
-  sync_state_gauge : string;
-  backlog_gauge : string;
-  shed_counter : string;
-  offered_counter : string;
-  shed_rate_pct : int;
-  churn_counter : string;
-  churn_per_interval : int;
-  in_doubt_gauge : string;
-  stuck_after : int;
-  rebal_gauge : string;
-  rebal_after : int;
-  exit_after : int;
-}
+(* The thresholds health.mli documents. *)
+let shed_rate_pct = 10
 
-let default_config =
-  {
-    sync_state_gauge = "mirror.sync_state";
-    backlog_gauge = "mirror.sectors_remaining";
-    shed_counter = "sched.sheds";
-    offered_counter = "sched.offered";
-    shed_rate_pct = 10;
-    churn_counter = "lease.churn";
-    churn_per_interval = 3;
-    in_doubt_gauge = "txn.in_doubt";
-    stuck_after = 2;
-    rebal_gauge = "cluster.shards_remaining";
-    rebal_after = 2;
-    exit_after = 2;
-  }
+let churn_per_interval = 3
+
+let stuck_after = 2
+
+let rebal_after = 2
+
+let exit_after = 2
 
 type t = {
-  config : config;
   mutable cur : state;
   mutable clean_streak : int;
   mutable doubt_streak : int;
@@ -70,9 +49,8 @@ type t = {
   mutable transitions_rev : (int * state) list;
 }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    config;
     cur = Healthy;
     clean_streak = 0;
     doubt_streak = 0;
@@ -87,19 +65,18 @@ let metric snap key =
   match Metrics.find snap key with None -> 0 | Some v -> Metrics.value_int v
 
 let observe t snap =
-  let c = t.config in
   let delta key =
     metric snap key - (match t.prev with None -> 0 | Some p -> metric p key)
   in
   (match t.prev with
   | None -> t.transitions_rev <- [ (snap.Metrics.at_us, t.cur) ]
   | Some _ -> ());
-  let shed_d = delta c.shed_counter in
-  let offered_d = delta c.offered_counter in
-  let churn_d = delta c.churn_counter in
-  let sync = metric snap c.sync_state_gauge in
-  let in_doubt = metric snap c.in_doubt_gauge in
-  let in_rebal = metric snap c.rebal_gauge in
+  let shed_d = delta "sched.sheds" in
+  let offered_d = delta "sched.offered" in
+  let churn_d = delta "lease.churn" in
+  let sync = metric snap "mirror.sync_state" in
+  let in_doubt = metric snap "txn.in_doubt" in
+  let in_rebal = metric snap "cluster.shards_remaining" in
   (* an in-doubt transaction is normal for one scrape (a decision leg in
      flight); one that PERSISTS is a coordinator that died mid-decision *)
   t.doubt_streak <- (if in_doubt > 0 then t.doubt_streak + 1 else 0);
@@ -108,12 +85,12 @@ let observe t snap =
      persists is a migration in progress *)
   t.rebal_streak <- (if in_rebal > 0 then t.rebal_streak + 1 else 0);
   let candidate =
-    if shed_d > 0 && offered_d > 0 && shed_d * 100 >= c.shed_rate_pct * offered_d then
+    if shed_d > 0 && offered_d > 0 && shed_d * 100 >= shed_rate_pct * offered_d then
       Overloaded { shed_rate = shed_d * 100 / offered_d }
-    else if sync <> 0 then Degraded { resync_backlog = metric snap c.backlog_gauge }
-    else if t.doubt_streak >= c.stuck_after then Txn_stuck { in_doubt }
-    else if churn_d >= c.churn_per_interval then Lease_churning
-    else if t.rebal_streak >= c.rebal_after then Rebalancing { shards_remaining = in_rebal }
+    else if sync <> 0 then Degraded { resync_backlog = metric snap "mirror.sectors_remaining" }
+    else if t.doubt_streak >= stuck_after then Txn_stuck { in_doubt }
+    else if churn_d >= churn_per_interval then Lease_churning
+    else if t.rebal_streak >= rebal_after then Rebalancing { shards_remaining = in_rebal }
     else Healthy
   in
   let goto s =
@@ -127,7 +104,7 @@ let observe t snap =
     | Degraded _ | Overloaded _ | Lease_churning | Txn_stuck _ | Rebalancing _ ->
       (* hysteresis: one quiet interval is not recovery *)
       t.clean_streak <- t.clean_streak + 1;
-      if t.clean_streak >= c.exit_after then begin
+      if t.clean_streak >= exit_after then begin
         t.clean_streak <- 0;
         goto Healthy
       end)

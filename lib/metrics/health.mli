@@ -38,37 +38,28 @@ val state_label : state -> string
 val same_kind : state -> state -> bool
 (** Constructor equality, ignoring payloads. *)
 
-type config = {
-  sync_state_gauge : string;  (** non-zero means a drive is off or catching up *)
-  backlog_gauge : string;  (** dirty-sector backlog, reported in [Degraded] *)
-  shed_counter : string;  (** cumulative sheds (admission rejections) *)
-  offered_counter : string;  (** cumulative offered attempts *)
-  shed_rate_pct : int;  (** enter [Overloaded] at this interval shed percentage *)
-  churn_counter : string;  (** cumulative lease-churn events *)
-  churn_per_interval : int;  (** enter [Lease_churning] at this interval delta *)
-  in_doubt_gauge : string;  (** in-doubt 2PC transactions at the coordinator *)
-  stuck_after : int;
-      (** enter [Txn_stuck] once the gauge has been non-zero for this
-          many consecutive snapshots — one snapshot of doubt is just a
-          decision leg in flight *)
-  rebal_gauge : string;  (** dirty-shard backlog, reported in [Rebalancing] *)
-  rebal_after : int;
-      (** enter [Rebalancing] once the backlog gauge has been non-zero
-          for this many consecutive snapshots — entry hysteresis, so a
-          membership blip the next step drains never shows *)
-  exit_after : int;  (** consecutive clean snapshots before returning [Healthy] *)
-}
+(** {2 Wiring and thresholds}
 
-val default_config : config
-(** The standard Bullet wiring: [mirror.sync_state] / [mirror.sectors_remaining]
-    gauges, [sched.sheds] over [sched.offered] at 10%, [lease.churn] at 3
-    events per interval, [txn.in_doubt] stuck after 2 snapshots,
-    [cluster.shards_remaining] rebalancing after 2 snapshots, exit
-    after 2 clean snapshots. *)
+    The evaluator reads the standard Bullet metric names, with fixed
+    thresholds:
+    - [Degraded] while the [mirror.sync_state] gauge is non-zero (a
+      drive is off or catching up); the payload is the
+      [mirror.sectors_remaining] gauge.
+    - [Overloaded] when [sched.sheds] grows by at least 10% of
+      [sched.offered] over one interval (both cumulative counters).
+    - [Lease_churning] when the cumulative [lease.churn] counter grows
+      by at least 3 in one interval.
+    - [Txn_stuck] once the [txn.in_doubt] gauge has been non-zero for 2
+      consecutive snapshots — one snapshot of doubt is just a decision
+      leg in flight.
+    - [Rebalancing] once the [cluster.shards_remaining] gauge has been
+      non-zero for 2 consecutive snapshots — entry hysteresis, so a
+      membership blip the next step drains never shows.
+    - Back to [Healthy] after 2 consecutive clean snapshots. *)
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 (** A fresh evaluator in [Healthy]. *)
 
 val state : t -> state

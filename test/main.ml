@@ -28,7 +28,6 @@ let () =
       Test_dir_pair.suite;
       Test_worm.suite;
       Test_sparse.suite;
-      Test_pool.suite;
       Test_sched.suite;
       Test_fault.suite;
       Test_lease.suite;

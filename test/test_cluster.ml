@@ -1,10 +1,9 @@
 (* Tests for the sharded cluster: consistent-hash ring placement,
-   dirty-shard tracking, rebalance determinism, and the fall-through /
+   rebalance determinism and resumption, and the fall-through /
    read-repair path a migration leaves behind. *)
 
 open Helpers
 module Ring = Amoeba_cluster.Ring
-module Shard_map = Amoeba_cluster.Shard_map
 module Cluster = Amoeba_cluster.Cluster
 
 (* ---- ring ---- *)
@@ -22,7 +21,7 @@ let test_ring_positions_pinned () =
   check_bool "no fixed stride" false (d "shard-001" "shard-000" = d "shard-002" "shard-001")
 
 let five_ring () =
-  List.fold_left Ring.add (Ring.create ~vnodes:64 ()) [ "a"; "b"; "c"; "d"; "e" ]
+  List.fold_left Ring.add Ring.empty [ "a"; "b"; "c"; "d"; "e" ]
 
 let keys200 = List.init 200 (fun i -> Printf.sprintf "key-%03d" i)
 
@@ -52,9 +51,9 @@ let test_ring_owners () =
       check_bool "distinct" true (List.sort_uniq String.compare g = List.sort String.compare g))
     keys200;
   (* r larger than the ring degrades to every member, once *)
-  let solo = Ring.add (Ring.create ()) "only" in
+  let solo = Ring.add Ring.empty "only" in
   check_bool "solo" true (Ring.owners solo ~r:3 "k" = [ "only" ]);
-  check_bool "empty ring" true (Ring.owners (Ring.create ()) ~r:2 "k" = [])
+  check_bool "empty ring" true (Ring.owners Ring.empty ~r:2 "k" = [])
 
 (* Adding one server to five moves ~R/N of the keys' groups and leaves
    the rest byte-identical — the whole point of consistent hashing.
@@ -80,31 +79,6 @@ let test_ring_join_moves_a_fraction () =
       check_bool "one old owner survives" true
         (List.exists (fun m -> List.mem m new_g) old_g))
     keys200
-
-(* ---- shard map ---- *)
-
-let test_shard_map () =
-  let m = Shard_map.create ~shards:8 in
-  check_int "all clean" 0 (Shard_map.remaining m);
-  check_bool "no next" true (Shard_map.next m = None);
-  Shard_map.mark m 2;
-  Shard_map.mark m 5;
-  Shard_map.mark m 5;
-  check_int "idempotent mark" 2 (Shard_map.remaining m);
-  check_bool "next scans up" true (Shard_map.next m = Some 2);
-  (* not cleared: an interrupted drain must resume on the same shard *)
-  check_bool "uncleared repeats" true (Shard_map.next m = Some 2);
-  Shard_map.clear m 2;
-  check_bool "then the next one" true (Shard_map.next m = Some 5);
-  Shard_map.clear m 5;
-  check_bool "drained" true (Shard_map.next m = None);
-  (* the cursor wraps: a shard below the cursor is still found *)
-  Shard_map.mark m 1;
-  check_bool "circular scan" true (Shard_map.next m = Some 1);
-  (try
-     Shard_map.mark m 8;
-     Alcotest.fail "out-of-range mark accepted"
-   with Invalid_argument _ -> ())
 
 (* ---- cluster ---- *)
 
@@ -155,21 +129,64 @@ let test_cluster_determinism () =
 (* A membership change marks exactly the ring-delta shards. *)
 let test_cluster_join_marks_ring_delta () =
   let c = boot_cluster 24 in
-  let cfg = Cluster.config c in
   let before = Cluster.ring c in
   Cluster.add_server c ~name:"dog" ~region:"east";
   let after = Cluster.ring c in
+  let r = Cluster.replicas in
   let expected =
     List.length
       (List.filter
          (fun i ->
            let k = Cluster.shard_key i in
-           Ring.owners before ~r:cfg.Cluster.replicas k
-           <> Ring.owners after ~r:cfg.Cluster.replicas k)
-         (List.init cfg.Cluster.shards Fun.id))
+           Ring.owners before ~r k <> Ring.owners after ~r k)
+         (List.init Cluster.shards Fun.id))
   in
   check_int "delta marked exactly" expected (Cluster.shards_remaining c);
-  check_bool "a strict subset" true (expected > 0 && expected < cfg.Cluster.shards)
+  check_bool "a strict subset" true (expected > 0 && expected < Cluster.shards)
+
+(* A step copies at most four objects; a shard needing more is left
+   dirty, and the next step must resume that same shard rather than move
+   on.  Which shard a step worked on shows in the keys that gained a
+   holder during it. *)
+let test_cluster_interrupted_step_resumes () =
+  let c = Cluster.create () in
+  List.iter
+    (fun (name, region) -> Cluster.add_server c ~name ~region)
+    [ ("ant", "west"); ("bee", "west"); ("cow", "east") ];
+  ignore (Cluster.rebalance c);
+  let keys = cluster_keys 240 in
+  List.iter (fun key -> Cluster.put c ~from:"west" ~key (payload 128)) keys;
+  Cluster.add_server c ~name:"dog" ~region:"east";
+  let step () =
+    let before = List.map (fun key -> (key, Cluster.holders c key)) keys in
+    let remaining = Cluster.shards_remaining c in
+    let copied = Cluster.rebalance_step c in
+    let gained =
+      List.filter_map
+        (fun (key, held) ->
+          if List.exists (fun srv -> not (List.mem srv held)) (Cluster.holders c key) then
+            Some (Cluster.shard_of key)
+          else None)
+        before
+    in
+    (copied, List.sort_uniq Int.compare gained, Cluster.shards_remaining c = remaining)
+  in
+  let interruptions = ref 0 in
+  let rec drain prev =
+    if Cluster.rebalancing c then begin
+      let copied, shards, unfinished = step () in
+      check_bool "a step works on one shard" true (List.length shards <= 1);
+      (match prev with
+      | Some s ->
+        incr interruptions;
+        check_bool "the interrupted shard resumes" true (shards = [ s ])
+      | None -> ());
+      drain (match shards with [ s ] when unfinished && copied > 0 -> Some s | _ -> None)
+    end
+  in
+  drain None;
+  check_bool "some step ran out of batch mid-shard" true (!interruptions > 0);
+  check_bool "healed" true (Cluster.under_replicated c = [])
 
 (* Two joins can replace BOTH members of a group (one join never can);
    a read of such an orphaned key must fall through to an old holder and
@@ -232,12 +249,13 @@ let suite =
       Alcotest.test_case "ring owner groups" `Quick test_ring_owners;
       Alcotest.test_case "a join moves ~R/N keys, pinned exactly" `Quick
         test_ring_join_moves_a_fraction;
-      Alcotest.test_case "shard map marks, scans and resumes" `Quick test_shard_map;
       Alcotest.test_case "placement puts R copies on the desired group" `Quick
         test_cluster_placement_and_spread;
       Alcotest.test_case "rebalance is byte-deterministic" `Quick test_cluster_determinism;
       Alcotest.test_case "a join marks exactly the ring delta" `Quick
         test_cluster_join_marks_ring_delta;
+      Alcotest.test_case "an interrupted step resumes its shard" `Quick
+        test_cluster_interrupted_step_resumes;
       Alcotest.test_case "reads through a migration fall through and repair" `Quick
         test_cluster_read_through_migration_repairs;
       Alcotest.test_case "a kill heals back to R copies" `Quick test_cluster_kill_heals;

@@ -282,7 +282,11 @@ let test_dirty_mark_clear () =
   check_int "partial clear" 3 (Dirty.remaining d);
   Dirty.clear d ~sector:0 ~count:64;
   check_int "all clean" 0 (Dirty.remaining d);
-  check_bool "nothing left" false (Dirty.is_dirty d ~sector:0 ~count:64)
+  check_bool "nothing left" false (Dirty.is_dirty d ~sector:0 ~count:64);
+  (* one past the end is out of range, even for a single sector *)
+  match Dirty.mark d ~sector:64 ~count:1 with
+  | () -> Alcotest.fail "out-of-range mark accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_dirty_mark_all () =
   let d = Dirty.create ~sectors:128 in

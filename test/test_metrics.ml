@@ -186,16 +186,16 @@ let test_health_overload_precedence () =
   check_bool "overloaded wins" true (st = Health.Overloaded { shed_rate = 50 })
 
 let test_health_churn_threshold () =
-  let config = Health.default_config in
+  (* the documented threshold: 3 churn events per interval *)
+  let churn_per_interval = 3 in
   let h = Health.create () in
   let obs at churn = Health.observe h (snap_of at [ ("lease.churn", churn) ]) in
   ignore (obs 0 0);
   (* delta below the threshold stays healthy *)
-  check_bool "below threshold" true (obs 1 (config.Health.churn_per_interval - 1) = Health.Healthy);
+  check_bool "below threshold" true (obs 1 (churn_per_interval - 1) = Health.Healthy);
   (* exactly at the threshold enters churn *)
   check_bool "at threshold" true
-    (obs 2 (config.Health.churn_per_interval - 1 + config.Health.churn_per_interval)
-    = Health.Lease_churning)
+    (obs 2 (churn_per_interval - 1 + churn_per_interval) = Health.Lease_churning)
 
 let test_slo_burn_hysteresis () =
   let slo =

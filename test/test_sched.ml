@@ -215,6 +215,176 @@ let test_sched_trace_attributes () =
       + att.Amoeba_trace.Attrib.cache_us + att.Amoeba_trace.Attrib.disk_us
       + att.Amoeba_trace.Attrib.alloc_us + att.Amoeba_trace.Attrib.other_us)
 
+(* ---- the closed loop ---- *)
+
+(* The SCALE experiment's degenerate configuration: one FIFO server
+   station plus a pure-delay wire, unbounded admission, no retries. *)
+let closed_loop ?(think_us = 100_000) ?(server_us = 2_000) ?(wire_us = 10_000) ?(requests = 50)
+    clients =
+  config
+    ~stations:[ fifo "server"; Sched.station "wire" ~layer:Sink.Net Sched.Delay ]
+    ~segments:[ (0, server_us); (1, wire_us) ]
+    ~clients ~think_us ~requests ()
+
+let server_utilisation r = (List.hd r.Sched.station_reports).Sched.utilisation
+
+(* The original self-contained single-station simulation, kept as a
+   reference model: the scheduler's closed-loop configuration must
+   replay it event for event, so the reports agree to the bit. *)
+module Reference = struct
+  module Eq = Amoeba_sim.Event_queue
+
+  type report = {
+    simulated_us : int;
+    completed : int;
+    throughput_per_sec : float;
+    mean_response_ms : float;
+    p99_response_ms : float;
+    server_utilisation : float;
+  }
+
+  type event = Arrive of int | Server_done | Reply_received of int
+
+  let of_sched r =
+    {
+      simulated_us = r.Sched.simulated_us;
+      completed = r.Sched.completed;
+      throughput_per_sec = r.Sched.throughput_per_sec;
+      mean_response_ms = r.Sched.mean_response_ms;
+      p99_response_ms = r.Sched.p99_response_ms;
+      server_utilisation = server_utilisation r;
+    }
+
+  let run ~clients ~think_us ~server_us ~wire_us ~requests =
+    let queue = Eq.create () in
+    (* explicit monotone pins satisfy the tie-race sanitizer: same-time
+       orderings here are meant (insertion order IS the model) *)
+    let pin_n = ref 0 in
+    let pin () =
+      incr pin_n;
+      !pin_n
+    in
+    let stats = Amoeba_sim.Stats.create "closed_loop" in
+    let remaining = Array.make clients requests in
+    let started = Array.make clients 0 in
+    let waiting : int Queue.t = Queue.create () in
+    let in_service = ref None in
+    let busy_us = ref 0 in
+    let completed = ref 0 in
+    let finish_time = ref 0 in
+    for c = 0 to clients - 1 do
+      Eq.push ~pin:(pin ()) ~site:"closed_loop.start" queue ~time:(think_us + (c mod 7)) (Arrive c)
+    done;
+    let start_service now =
+      match Queue.take_opt waiting with
+      | None -> in_service := None
+      | Some client ->
+        in_service := Some client;
+        busy_us := !busy_us + server_us;
+        Eq.push ~pin:(pin ()) ~site:"closed_loop.serve" queue ~time:(now + server_us) Server_done
+    in
+    let rec loop now =
+      match Eq.pop queue with
+      | None -> now
+      | Some (at, event) ->
+        (match event with
+        | Arrive client ->
+          started.(client) <- at;
+          Queue.push client waiting;
+          if !in_service = None then start_service at
+        | Server_done ->
+          (match !in_service with
+          | None -> ()
+          | Some client ->
+            Eq.push ~pin:(pin ()) ~site:"closed_loop.reply" queue ~time:(at + wire_us)
+              (Reply_received client));
+          start_service at
+        | Reply_received client ->
+          let response_us = at - started.(client) in
+          Amoeba_sim.Stats.observe stats "response_ms" (float_of_int response_us /. 1000.);
+          incr completed;
+          finish_time := at;
+          remaining.(client) <- remaining.(client) - 1;
+          if remaining.(client) > 0 then
+            Eq.push ~pin:(pin ()) ~site:"closed_loop.think" queue ~time:(at + think_us)
+              (Arrive client));
+        loop at
+    in
+    let end_time = loop 0 in
+    let span = max 1 (max end_time !finish_time) in
+    let summary = Amoeba_sim.Stats.summary stats "response_ms" in
+    {
+      simulated_us = span;
+      completed = !completed;
+      throughput_per_sec = float_of_int !completed /. (float_of_int span /. 1e6);
+      mean_response_ms = summary.Amoeba_sim.Stats.mean;
+      p99_response_ms = Amoeba_sim.Stats.percentile stats "response_ms" 0.99;
+      server_utilisation = float_of_int !busy_us /. float_of_int span;
+    }
+end
+
+let test_single_client_cycle_time () =
+  let r = Sched.run (closed_loop 1) in
+  check_int "all completed" 50 r.Sched.completed;
+  (* one client: no queueing, response = service + wire *)
+  Alcotest.(check (float 0.1)) "response = service + wire" 12.0 r.Sched.mean_response_ms;
+  (* throughput ~ 1 / (think + response) *)
+  let expected = 1e6 /. float_of_int (100_000 + 12_000) in
+  check_bool "throughput near the cycle rate" true
+    (Float.abs (r.Sched.throughput_per_sec -. expected) /. expected < 0.05)
+
+let test_throughput_scales_then_saturates () =
+  let at n = (Sched.run (closed_loop n)).Sched.throughput_per_sec in
+  check_bool "doubling clients doubles throughput below the knee" true (at 4 > 1.8 *. at 2);
+  (* far beyond the knee the server caps throughput at 1/service *)
+  let cap = 1e6 /. 2_000. in
+  let t_sat = at 200 in
+  check_bool "saturated at 1/service" true (t_sat < cap *. 1.02 && t_sat > cap *. 0.85)
+
+let test_response_grows_past_knee () =
+  let knee = Sched.saturation_clients (closed_loop 1) in
+  Alcotest.(check (float 1e-9)) "knee = (think + wire + service) / service" 56. knee;
+  let below = Sched.run (closed_loop (max 1 (int_of_float knee / 2))) in
+  let above = Sched.run (closed_loop (int_of_float knee * 4)) in
+  check_bool "queueing shows past the knee" true
+    (above.Sched.mean_response_ms > 3. *. below.Sched.mean_response_ms)
+
+let test_utilisation_bounded () =
+  let u = server_utilisation (Sched.run (closed_loop 500)) in
+  check_bool "utilisation <= 1" true (u <= 1.0);
+  check_bool "saturated server is busy" true (u > 0.95)
+
+let test_closed_loop_deterministic () =
+  check_bool "same run, same numbers" true (Sched.run (closed_loop 17) = Sched.run (closed_loop 17))
+
+(* Structural equality on the projected report compares the floats
+   exactly: the scheduler must reproduce the reference model bit for bit. *)
+let test_matches_reference () =
+  let fixtures =
+    List.map (fun n -> (n, 100_000, 2_000, 10_000, 50)) [ 1; 2; 4; 17; 200; 500; 28; 224 ]
+    @ [ (1, 100_000, 2_000, 0, 50); (1, 0, 2_000, 10_000, 7); (13, 1, 1, 1, 3) ]
+  in
+  List.iteri
+    (fun i (clients, think_us, server_us, wire_us, requests) ->
+      let scheduled =
+        Reference.of_sched (Sched.run (closed_loop ~think_us ~server_us ~wire_us ~requests clients))
+      in
+      let reference = Reference.run ~clients ~think_us ~server_us ~wire_us ~requests in
+      if scheduled <> reference then Alcotest.failf "fixture %d: scheduler differs from reference" i)
+    fixtures
+
+let test_scale_experiment_shape () =
+  let r = Experiments.scale_experiment ~client_counts:[ 1; 64 ] () in
+  check_bool "bullet demand below nfs demand" true
+    (r.Experiments.bullet_service_us < r.Experiments.nfs_service_us);
+  check_bool "bullet knee much higher" true
+    (r.Experiments.bullet_knee > 5. *. r.Experiments.nfs_knee);
+  match (r.Experiments.bullet_points, r.Experiments.nfs_points) with
+  | [ _; b64 ], [ _; n64 ] ->
+    check_bool "at 64 clients bullet outruns nfs" true
+      (b64.Experiments.throughput_per_sec > 5. *. n64.Experiments.throughput_per_sec)
+  | _ -> Alcotest.fail "expected two points each"
+
 (* The full LOAD experiment: demand profiles measured from the real
    servers, the concurrency sweep, and the overload comparison.  The
    experiment itself raises if an acceptance invariant fails; the checks
@@ -259,5 +429,13 @@ let suite =
       Alcotest.test_case "profile cycling" `Quick test_profile_cycling;
       Alcotest.test_case "double run identity" `Quick test_double_run_identity;
       Alcotest.test_case "sched trace attributes" `Quick test_sched_trace_attributes;
+      Alcotest.test_case "single client cycle time" `Quick test_single_client_cycle_time;
+      Alcotest.test_case "throughput scales then saturates" `Quick
+        test_throughput_scales_then_saturates;
+      Alcotest.test_case "response grows past the knee" `Quick test_response_grows_past_knee;
+      Alcotest.test_case "utilisation bounded" `Quick test_utilisation_bounded;
+      Alcotest.test_case "closed loop deterministic" `Quick test_closed_loop_deterministic;
+      Alcotest.test_case "closed loop matches reference exactly" `Quick test_matches_reference;
+      Alcotest.test_case "scale experiment shape" `Slow test_scale_experiment_shape;
       Alcotest.test_case "load experiment invariants" `Slow test_load_experiment;
     ] )

@@ -268,6 +268,137 @@ let test_hist_via_stats () =
   Stats.reset s;
   check_int "reset clears" 0 (Stats.Hist.count (Stats.hist s "trans_us"))
 
+(* ---- event queue ---- *)
+
+module Eq = Amoeba_sim.Event_queue
+
+let test_eq_orders_by_time () =
+  let q = Eq.create () in
+  Eq.push q ~time:30 "c";
+  Eq.push q ~time:10 "a";
+  Eq.push q ~time:20 "b";
+  let pops = List.init 3 (fun _ -> Eq.pop q) in
+  check_bool "time order" true
+    (pops = [ Some (10, "a"); Some (20, "b"); Some (30, "c") ]);
+  check_bool "drained" true (Eq.pop q = None)
+
+let test_eq_ties_fifo () =
+  let q = Eq.create () in
+  Eq.push q ~time:5 "first";
+  Eq.push q ~time:5 "second";
+  Eq.push q ~time:5 "third";
+  check_bool "insertion order on ties" true
+    (List.init 3 (fun _ -> Option.map snd (Eq.pop q)) = [ Some "first"; Some "second"; Some "third" ]);
+  (* this test exercises the unpinned fallback on purpose; keep its ties
+     out of the end-of-run tie-check suite *)
+  Eq.clear_ties ()
+
+let test_eq_interleaved_push_pop () =
+  let q = Eq.create () in
+  Eq.push q ~time:10 1;
+  Eq.push q ~time:5 2;
+  check_bool "pop min" true (Eq.pop q = Some (5, 2));
+  Eq.push q ~time:1 3;
+  check_bool "new min" true (Eq.pop q = Some (1, 3));
+  check_bool "rest" true (Eq.pop q = Some (10, 1))
+
+let test_eq_grows () =
+  let q = Eq.create () in
+  for i = 999 downto 0 do
+    Eq.push q ~time:i i
+  done;
+  check_int "size" 1000 (Eq.size q);
+  let sorted = ref true in
+  let last = ref (-1) in
+  for _ = 1 to 1000 do
+    match Eq.pop q with
+    | Some (t, _) ->
+      if t < !last then sorted := false;
+      last := t
+    | None -> sorted := false
+  done;
+  check_bool "heap order over 1000 events" true !sorted
+
+let test_eq_rejects_negative_time () =
+  let q = Eq.create () in
+  (try
+     Eq.push q ~time:(-1) ();
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ())
+
+let prop_eq_sorts =
+  qtest "event queue pops any multiset sorted" QCheck.(small_list (int_range 0 10_000))
+    (fun times ->
+      let q = Eq.create () in
+      List.iter (fun t -> Eq.push q ~time:t t) times;
+      let rec drain acc = match Eq.pop q with Some (t, _) -> drain (t :: acc) | None -> List.rev acc in
+      let sorted = drain [] = List.sort compare times in
+      (* random multisets collide on purpose; drop the resulting ties *)
+      Eq.clear_ties ();
+      sorted)
+
+(* Fuzz the heap against a sorted-list reference model.  The model keeps
+   (time, seq) pairs sorted stably, so it pins not just time ordering but
+   the FIFO tie-break; interleaving pushes and pops (including pops on
+   empty) exercises sift-up and sift-down around every heap shape a
+   deterministic SplitMix64 stream can reach. *)
+let test_eq_fuzz_vs_reference () =
+  List.iter
+    (fun seed ->
+      let prng = Prng.create ~seed in
+      let q = Eq.create () in
+      let model = ref [] in
+      (* model: (time, seq, payload) sorted by (time, seq) ascending *)
+      let next_seq = ref 0 in
+      let insert entry =
+        let time_of (t, _, _) = t and seq_of (_, s, _) = s in
+        let rec go = function
+          | [] -> [ entry ]
+          | e :: rest ->
+            if
+              time_of e > time_of entry
+              || (time_of e = time_of entry && seq_of e > seq_of entry)
+            then entry :: e :: rest
+            else e :: go rest
+        in
+        model := go !model
+      in
+      for step = 0 to 1_999 do
+        if Prng.int prng 3 < 2 then begin
+          (* push twice as often as pop so the heap grows *)
+          let time = Prng.int prng 100 in
+          Eq.push q ~time step;
+          insert (time, !next_seq, step);
+          incr next_seq
+        end
+        else begin
+          let expected =
+            match !model with
+            | [] -> None
+            | (t, _, payload) :: rest ->
+              model := rest;
+              Some (t, payload)
+          in
+          let got = Eq.pop q in
+          if got <> expected then
+            Alcotest.failf "seed %Ld step %d: heap disagrees with reference model" seed step
+        end;
+        if Eq.size q <> List.length !model then
+          Alcotest.failf "seed %Ld step %d: size %d, model %d" seed step (Eq.size q)
+            (List.length !model)
+      done;
+      (* drain both and compare the tail, then pop-on-empty *)
+      List.iter
+        (fun (t, _, payload) ->
+          if Eq.pop q <> Some (t, payload) then
+            Alcotest.failf "seed %Ld: drain order diverged" seed)
+        !model;
+      check_bool "pop on empty" true (Eq.pop q = None);
+      check_bool "empty after drain" true (Eq.is_empty q))
+    [ 1L; 0xDEADBEEFL; 42L; 0x5EEDL ];
+  (* the fuzz deliberately floods same-time unpinned pushes *)
+  Eq.clear_ties ()
+
 let suite =
   ( "sim",
     [
@@ -303,4 +434,11 @@ let suite =
       Alcotest.test_case "hist record and percentile bounds" `Quick test_hist_basics;
       Alcotest.test_case "hist merge is exact" `Quick test_hist_merge_exact;
       Alcotest.test_case "hist via stats table" `Quick test_hist_via_stats;
+      Alcotest.test_case "event queue orders by time" `Quick test_eq_orders_by_time;
+      Alcotest.test_case "event queue ties are FIFO" `Quick test_eq_ties_fifo;
+      Alcotest.test_case "event queue interleaved ops" `Quick test_eq_interleaved_push_pop;
+      Alcotest.test_case "event queue grows" `Quick test_eq_grows;
+      Alcotest.test_case "event queue rejects negative time" `Quick test_eq_rejects_negative_time;
+      prop_eq_sorts;
+      Alcotest.test_case "event queue fuzz vs reference model" `Quick test_eq_fuzz_vs_reference;
     ] )

@@ -153,21 +153,25 @@ let wait_for_port port =
   in
   go 50
 
-let with_daemon data_dir port f =
-  let command =
-    Printf.sprintf "%s --port %d --data %s --size-mb 8 --max-files 128 > bulletd.log 2>&1"
-      (Filename.quote (tool "bulletd")) port (Filename.quote data_dir)
+(* The daemon on ./data, logging to ./bulletd.log. It is spawned
+   directly, so SIGTERM reaches the daemon itself. *)
+let spawn_bulletd ?(args = []) port =
+  let log = Unix.openfile "bulletd.log" [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+  let argv =
+    [ "bulletd"; "--port"; string_of_int port; "--data"; "data"; "--size-mb"; "8" ] @ args
   in
-  let pid =
-    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; command |] Unix.stdin Unix.stdout Unix.stderr
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.kill pid Sys.sigterm;
-      ignore (Unix.waitpid [] pid))
-    (fun () ->
-      check_bool "daemon came up" true (wait_for_port port);
-      f ())
+  let pid = Unix.create_process (tool "bulletd") (Array.of_list argv) Unix.stdin log log in
+  Unix.close log;
+  check_bool "daemon came up" true (wait_for_port port);
+  pid
+
+let stop_bulletd pid =
+  Unix.kill pid Sys.sigterm;
+  snd (Unix.waitpid [] pid)
+
+let with_daemon ?args port f =
+  let pid = spawn_bulletd ?args port in
+  Fun.protect ~finally:(fun () -> ignore (stop_bulletd pid)) f
 
 let ctl port args =
   run (Printf.sprintf "%s %s --port %d" (Filename.quote (tool "bullet_ctl")) args port)
@@ -178,7 +182,7 @@ let test_daemon_end_to_end () =
       let oc = open_out "hello.txt" in
       output_string oc "hello daemon";
       close_out oc;
-      with_daemon "data" port (fun () ->
+      with_daemon port (fun () ->
           let status, out = ctl port "store greeting hello.txt" in
           check_bool "store ok" true (status = Unix.WEXITED 0);
           check_bool "prints capability" true (contains out "greeting -> ");
@@ -189,7 +193,7 @@ let test_daemon_end_to_end () =
           let _, out = ctl port "stat" in
           check_bool "stat shows files" true (contains out "live files"));
       (* restart on the same images: the name space survives *)
-      with_daemon "data" port (fun () ->
+      with_daemon port (fun () ->
           let status, out = ctl port "fetch greeting" in
           check_bool "fetch after restart" true (status = Unix.WEXITED 0);
           check_bool "contents survive restart" true (contains out "hello daemon");
@@ -206,22 +210,7 @@ let test_daemon_fault_plan () =
       let oc = open_out "plan.txt" in
       output_string oc "# drop everything from the third request frame on\nseed 7\nat 3 loss 1.0\n";
       close_out oc;
-      let command =
-        Printf.sprintf
-          "%s --port %d --data data --size-mb 8 --max-files 128 --fault-plan plan.txt > \
-           bulletd.log 2>&1"
-          (Filename.quote (tool "bulletd")) port
-      in
-      let pid =
-        Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; command |] Unix.stdin Unix.stdout
-          Unix.stderr
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.kill pid Sys.sigterm;
-          ignore (Unix.waitpid [] pid))
-        (fun () ->
-          check_bool "daemon came up" true (wait_for_port port);
+      with_daemon ~args:[ "--fault-plan"; "plan.txt" ] port (fun () ->
           (* frames 1-2: hello + stat, delivered *)
           let status, out = ctl port "stat" in
           check_bool "first two frames delivered" true (status = Unix.WEXITED 0);
@@ -231,6 +220,79 @@ let test_daemon_fault_plan () =
           check_bool "third frame dropped on the wire" true (status <> Unix.WEXITED 0);
           let log = In_channel.with_open_text "bulletd.log" In_channel.input_all in
           check_bool "daemon announced the plan" true (contains log "fault plan loaded")))
+
+(* SIGTERM lands while a client streams CREATEs. The daemon must save
+   exactly once, under the request lock, and exit 0: every acknowledged
+   file reads back after a restart and the images fsck clean. *)
+module Message = Amoeba_rpc.Message
+module Proto = Bullet_core.Proto
+
+let bullet_port conn =
+  let hello =
+    Amoeba_rpc.Tcp.trans conn (Message.request ~port:(Amoeba_cap.Port.of_int64 0L) ~command:0 ())
+  in
+  match hello.Message.cap with
+  | Some cap -> cap.Amoeba_cap.Capability.port
+  | None -> Alcotest.fail "malformed hello reply"
+
+let test_daemon_sigterm_mid_stream () =
+  in_temp_dir (fun () ->
+      let port = 21_000 + (Unix.getpid () mod 2_000) in
+      let pid = spawn_bulletd port in
+      let acked = Atomic.make [] in
+      (* the daemon vanishing mid-frame must fail the write, not kill us *)
+      let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe) @@ fun () ->
+      let streamer =
+        Thread.create
+          (fun () ->
+            let conn = Amoeba_rpc.Tcp.connect ~port () in
+            let port' = bullet_port conn in
+            let rec go i =
+              let create =
+                Message.request ~port:port' ~command:Proto.cmd_create ~arg0:2
+                  ~body:(payload (100 + i)) ()
+              in
+              match Amoeba_rpc.Tcp.trans conn create with
+              | { Message.status = Amoeba_rpc.Status.Ok; cap = Some cap; _ } ->
+                Atomic.set acked ((i, cap) :: Atomic.get acked);
+                go (i + 1)
+              | _ -> ()
+              | exception (Failure _ | Unix.Unix_error _) -> ()
+            in
+            go 0;
+            Amoeba_rpc.Tcp.close conn)
+          ()
+      in
+      let rec await tries =
+        if List.length (Atomic.get acked) < 20 && tries > 0 then begin
+          Unix.sleepf 0.01;
+          await (tries - 1)
+        end
+      in
+      await 1_000;
+      let streaming = List.length (Atomic.get acked) >= 20 in
+      let status = stop_bulletd pid in
+      Thread.join streamer;
+      check_bool "the stream was running" true streaming;
+      check_bool "exits 0" true (status = Unix.WEXITED 0);
+      let log = In_channel.with_open_text "bulletd.log" In_channel.input_all in
+      let saves = List.filter (fun l -> contains l "saving state") (String.split_on_char '\n' log) in
+      check_int "saves once" 1 (List.length saves);
+      with_daemon port (fun () ->
+          let conn = Amoeba_rpc.Tcp.connect ~port () in
+          List.iter
+            (fun (i, cap) ->
+              let read =
+                Message.request ~port:cap.Amoeba_cap.Capability.port ~command:Proto.cmd_read ~cap ()
+              in
+              check_bytes "acknowledged file survives" (payload (100 + i))
+                (Amoeba_rpc.Tcp.trans conn read).Message.body)
+            (Atomic.get acked);
+          Amoeba_rpc.Tcp.close conn);
+      let status, out = fsck "data/drive1.img data/drive2.img" in
+      check_bool "fsck ok" true (status = Unix.WEXITED 0);
+      check_bool "fsck clean" true (contains out "consistency       clean"))
 
 let test_daemon_rejects_bad_plan () =
   in_temp_dir (fun () ->
@@ -340,4 +402,6 @@ let suite =
       Alcotest.test_case "bulletd end to end over TCP" `Slow test_daemon_end_to_end;
       Alcotest.test_case "bulletd --fault-plan drops frames on TCP" `Slow test_daemon_fault_plan;
       Alcotest.test_case "bulletd rejects a malformed plan" `Quick test_daemon_rejects_bad_plan;
+      Alcotest.test_case "bulletd saves once on SIGTERM mid-stream" `Slow
+        test_daemon_sigterm_mid_stream;
     ] )
