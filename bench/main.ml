@@ -993,7 +993,7 @@ let () =
   Printf.printf "Bullet file server evaluation - reproduction of ICDCS 1989 tables\n";
   List.iter (fun (_, f) -> f ()) chosen;
   (* under AMOEBA_TIE_CHECK=1 (the CI determinism jobs), fail loudly if
-     any scenario scheduled two same-(time, prio) events unpinned *)
+     any scenario scheduled two same-time events unpinned *)
   let module Eq = Amoeba_sim.Event_queue in
   if Eq.tie_check_enabled () then begin
     match Eq.ties () with

@@ -8,6 +8,6 @@
 
    Paths default to "lib bin". The typedtree passes read the .cmt files
    under _build/default (run `dune build @check` first, or let the dune
-   runtest gate do it). Exits 1 on any diagnostic; VET_SKIP=1 skips. *)
+   runtest gate do it). Exits 1 on any diagnostic. *)
 
 let () = exit (Amoeba_analysis.Vet_cli.main ~prog:"amoeba_vet" Sys.argv)

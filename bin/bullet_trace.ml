@@ -33,13 +33,8 @@ module Attrib = Amoeba_trace.Attrib
    traced READ genuinely goes to disk. *)
 let record size =
   let clock = Amoeba_sim.Clock.create () in
-  let geometry = Amoeba_disk.Geometry.small ~sectors:131_072 in
-  let d1 = Amoeba_disk.Block_device.create ~id:"bullet-1" ~geometry ~clock in
-  let d2 = Amoeba_disk.Block_device.create ~id:"bullet-2" ~geometry ~clock in
-  let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:2048;
   let config = { Server.default_config with cache_bytes = 2 * 1024 * 1024 } in
-  let server, _report = Result.get_ok (Server.start ~config mirror) in
+  let server = Server.boot ~config ~clock ~id:"bullet" ~sectors:131_072 ~max_files:2048 () in
   let transport = Amoeba_rpc.Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let client = Client.connect transport (Server.port server) in
@@ -293,8 +288,8 @@ let cmd =
     Term.(const run $ size $ attrib $ out $ load_path $ chrome $ only_trace $ sched $ lease)
 
 (* Under AMOEBA_TIE_CHECK=1 (the CI determinism double-run jobs), turn a
-   clean run into a failure if any scenario scheduled two same-(time,
-   prio) events without pinning their relative order. *)
+   clean run into a failure if any scenario scheduled two same-time
+   events without pinning their relative order. *)
 let check_ties code =
   let module Eq = Amoeba_sim.Event_queue in
   if code = 0 && Eq.tie_check_enabled () then (

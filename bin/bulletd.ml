@@ -161,8 +161,9 @@ let run tcp_port data_dir size_mb max_files cache_mb fault_plan =
         let (_ : Message.t) = dispatch request in
         None
       | Amoeba_rpc.Transport.Duplicate_request ->
-        (* the frame arrives twice; xid dedup in the services absorbs
-           the second execution of mutations *)
+        (* the frame arrives twice and both copies run: the daemon
+           dispatches with no xid reply cache, and bullet_ctl sends
+           xid 0, so a duplicated mutating frame executes twice *)
         let reply = dispatch request in
         let (_ : Message.t) = dispatch request in
         Some reply

@@ -5,7 +5,7 @@
    Run with:  dune exec examples/federation.exe *)
 
 module Fed = Amoeba_wan.Federation
-module Link = Amoeba_wan.Link
+module Link = Amoeba_rpc.Link
 module Clock = Amoeba_sim.Clock
 
 let () =

@@ -13,12 +13,7 @@ module Cap = Amoeba_cap.Capability
 
 let () =
   let clock = Clock.create () in
-  let geometry = Amoeba_disk.Geometry.small ~sectors:65_536 in
-  let d1 = Amoeba_disk.Block_device.create ~id:"d1" ~geometry ~clock in
-  let d2 = Amoeba_disk.Block_device.create ~id:"d2" ~geometry ~clock in
-  let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:1024;
-  let server, _ = Result.get_ok (Server.start mirror) in
+  let server = Server.boot ~clock ~id:"bullet" ~sectors:65_536 ~max_files:1024 () in
   let transport = Amoeba_rpc.Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let bullet = Client.connect transport (Server.port server) in

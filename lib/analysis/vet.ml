@@ -240,12 +240,9 @@ let scan_unit ~file ~modname (str : Typedtree.structure) =
                 | Asttypes.Labelled l, Some _ when starts_with "on_" l -> u.u_hooks <- l :: u.u_hooks
                 | _ -> ())
               args
-          (* metric registrations by literal name; [Stats.counter]/[Stats.hist]
-             are lookups, not registrations, so the Stats module is excluded *)
-          | last :: rest
-            when List.exists (String.equal last)
-                   [ "counter"; "gauge"; "hist"; "register_counter"; "register_hist" ]
-                 && (match rest with "Stats" :: _ -> false | _ -> true) ->
+          (* metric registrations by literal name: gauges here, Stats
+             sources by prefix below *)
+          | "gauge" :: _ ->
             let rec first_literal = function
               | [] -> ()
               | (Asttypes.Nolabel, Some (arg : Typedtree.expression)) :: more -> (

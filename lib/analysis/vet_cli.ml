@@ -5,7 +5,7 @@
 let usage prog =
   Printf.eprintf
     "usage: %s [--list-rules] [--passes lint,proto,clock,taint] [--json] [--out FILE] [path ...]\n\
-    \       (default paths: lib bin; default passes: all; VET_SKIP=1 skips everything)\n"
+    \       (default paths: lib bin; default passes: all)\n"
     prog;
   2
 
@@ -104,64 +104,59 @@ let parse_args argv =
   o
 
 let main ~prog argv =
-  match Sys.getenv_opt "VET_SKIP" with
-  | Some v when v <> "" && v <> "0" ->
-    Printf.eprintf "%s: skipped (VET_SKIP=%s)\n" prog v;
-    0
-  | _ -> (
-    let o = parse_args argv in
-    match o.bad with
-    | Some "help" -> usage prog
-    | Some msg ->
-      Printf.eprintf "%s: %s\n" prog msg;
-      usage prog
-    | None ->
-      if o.list_rules then list_rules ()
-      else
-        let paths = match o.paths with [] -> [ "lib"; "bin" ] | paths -> paths in
-        let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
-        (match missing with
-        | p :: _ ->
-          Printf.eprintf "%s: no such path %S\n" prog p;
+  let o = parse_args argv in
+  match o.bad with
+  | Some "help" -> usage prog
+  | Some msg ->
+    Printf.eprintf "%s: %s\n" prog msg;
+    usage prog
+  | None ->
+    if o.list_rules then list_rules ()
+    else
+      let paths = match o.paths with [] -> [ "lib"; "bin" ] | paths -> paths in
+      let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
+      (match missing with
+      | p :: _ ->
+        Printf.eprintf "%s: no such path %S\n" prog p;
+        2
+      | [] -> (
+        let lint_diags =
+          if List.exists (String.equal "lint") o.passes then Lint.lint_paths paths else []
+        in
+        let typed_passes = List.filter_map Vet.pass_of_name o.passes in
+        let typed_result =
+          if typed_passes = [] then
+            Ok { Vet.diagnostics = []; inventory = { inv_cmds = []; inv_codecs = []; inv_spans = []; inv_hooks = []; inv_metrics = [] } }
+          else
+            match discover_cmts paths with
+            | [] ->
+              Error
+                (Printf.sprintf
+                   "no .cmt files found under %s; run `dune build @check` first (or select \
+                    --passes lint)"
+                   (String.concat " " paths))
+            | cmts -> Vet.analyze ~read_source ~passes:typed_passes cmts
+        in
+        match typed_result with
+        | Error e ->
+          Printf.eprintf "%s: %s\n" prog e;
           2
-        | [] -> (
-          let lint_diags =
-            if List.exists (String.equal "lint") o.passes then Lint.lint_paths paths else []
-          in
-          let typed_passes = List.filter_map Vet.pass_of_name o.passes in
-          let typed_result =
-            if typed_passes = [] then
-              Ok { Vet.diagnostics = []; inventory = { inv_cmds = []; inv_codecs = []; inv_spans = []; inv_hooks = []; inv_metrics = [] } }
+        | Ok report ->
+          let diagnostics = Vet.order_diagnostics (lint_diags @ report.Vet.diagnostics) in
+          let emit out =
+            if o.json then
+              output_string out
+                (Vet.to_json ~passes:o.passes ~diagnostics report.Vet.inventory)
             else
-              match discover_cmts paths with
-              | [] ->
-                Error
-                  (Printf.sprintf
-                     "no .cmt files found under %s; run `dune build @check` first (or select \
-                      --passes lint)"
-                     (String.concat " " paths))
-              | cmts -> Vet.analyze ~read_source ~passes:typed_passes cmts
+              List.iter (fun d -> output_string out (Lint.to_string d ^ "\n")) diagnostics
           in
-          match typed_result with
-          | Error e ->
-            Printf.eprintf "%s: %s\n" prog e;
-            2
-          | Ok report ->
-            let diagnostics = Vet.order_diagnostics (lint_diags @ report.Vet.diagnostics) in
-            let emit out =
-              if o.json then
-                output_string out
-                  (Vet.to_json ~passes:o.passes ~diagnostics report.Vet.inventory)
-              else
-                List.iter (fun d -> output_string out (Lint.to_string d ^ "\n")) diagnostics
-            in
-            (match o.out with
-            | Some file ->
-              let oc = open_out_bin file in
-              Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> emit oc)
-            | None -> emit stdout);
-            (match diagnostics with
-            | [] -> 0
-            | _ :: _ ->
-              Printf.eprintf "%s: %d diagnostic(s)\n" prog (List.length diagnostics);
-              1))))
+          (match o.out with
+          | Some file ->
+            let oc = open_out_bin file in
+            Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> emit oc)
+          | None -> emit stdout);
+          (match diagnostics with
+          | [] -> 0
+          | _ :: _ ->
+            Printf.eprintf "%s: %d diagnostic(s)\n" prog (List.length diagnostics);
+            1)))

@@ -7,7 +7,7 @@ type t = {
   free_rnodes : int Stack.t;
   on_evict : inode:int -> rnode:int -> unit;
   stats : Amoeba_sim.Stats.t;
-  evicted_bytes : Amoeba_metrics.Metrics.Counter.t;
+  evicted_bytes : int ref; (* the [bytes_evicted] cell of [stats] *)
   mutable tick : int;
   mutable resident : int;
   mutable used : int;
@@ -18,6 +18,7 @@ let create ~capacity ~max_rnodes ~on_evict =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";
   if max_rnodes <= 0 then invalid_arg "Cache.create: need at least one rnode";
   let free_rnodes = Stack.create () in
+  let stats = Amoeba_sim.Stats.create "cache" in
   for i = max_rnodes downto 1 do
     Stack.push i free_rnodes
   done;
@@ -27,8 +28,8 @@ let create ~capacity ~max_rnodes ~on_evict =
     rnodes = Array.make (max_rnodes + 1) None;
     free_rnodes;
     on_evict;
-    stats = Amoeba_sim.Stats.create "cache";
-    evicted_bytes = Amoeba_metrics.Metrics.Counter.create ();
+    stats;
+    evicted_bytes = Amoeba_sim.Stats.counter stats "bytes_evicted";
     tick = 0;
     resident = 0;
     used = 0;
@@ -80,7 +81,7 @@ let evict_one t =
     drop t rnode;
     t.on_evict ~inode:e.inode ~rnode;
     Amoeba_sim.Stats.incr t.stats "evictions";
-    Amoeba_metrics.Metrics.Counter.add t.evicted_bytes e.length;
+    t.evicted_bytes := !(t.evicted_bytes) + e.length;
     (match t.tracer with
     | None -> ()
     | Some tr ->
@@ -176,11 +177,10 @@ let compact t =
 
 let stats t = t.stats
 
-let bytes_evicted t = Amoeba_metrics.Metrics.Counter.value t.evicted_bytes
+let bytes_evicted t = !(t.evicted_bytes)
 
 let register_metrics t ~prefix reg =
   let module M = Amoeba_metrics.Metrics in
-  M.register_counter reg (prefix ^ ".bytes_evicted") t.evicted_bytes;
   M.gauge reg (prefix ^ ".used_bytes") (fun () -> used_bytes t);
   M.gauge reg (prefix ^ ".capacity_bytes") (fun () -> capacity t);
   M.gauge reg (prefix ^ ".resident_files") (fun () -> resident_files t);

@@ -69,15 +69,15 @@ val touch : t -> rnode:int -> unit
 (** Refresh a file's LRU age without reading it. *)
 
 val stats : t -> Amoeba_sim.Stats.t
-(** Counters: [insertions], [evictions], [compactions], [bytes_moved]. *)
+(** Counters: [insertions], [evictions], [compactions], [bytes_moved],
+    and [bytes_evicted] (present from creation). *)
 
 val bytes_evicted : t -> int
-(** Payload bytes dropped by LRU replacement so far.  Kept in a
-    {!Amoeba_metrics.Metrics.Counter} cell rather than an ad-hoc stats
-    counter so live scrapes and benches read the same instrument;
+(** Payload bytes dropped by LRU replacement so far: the
+    [bytes_evicted] cell of {!stats}, which live scrapes read too;
     mirrors the client cache's counter of the same name. *)
 
 val register_metrics : t -> prefix:string -> Amoeba_metrics.Metrics.t -> unit
-(** Register [<prefix>.bytes_evicted], [<prefix>.used_bytes],
-    [<prefix>.capacity_bytes], [<prefix>.resident_files] and every
-    {!stats} counter under the prefix. *)
+(** Register [<prefix>.used_bytes], [<prefix>.capacity_bytes],
+    [<prefix>.resident_files] and every {!stats} counter (so
+    [<prefix>.bytes_evicted]) under the prefix. *)

@@ -206,31 +206,10 @@ let dispatch server request =
       | None -> Message.error Status.Bad_request))
   else Message.error Status.Bad_request
 
-(* At-most-once execution for mutations over a lossy wire: remember the
-   reply to each xid-stamped request, bounded FIFO. A retry of a request
-   whose reply was lost (or that arrived in duplicate) gets the cached
-   reply instead of executing again. The cache lives with the
-   registration, not the server state — a reboot forgets it, which is the
-   honest at-most-once window of the real protocol. *)
-let dedup ?on_hit ~capacity service =
-  let replies : (int, Message.t) Hashtbl.t = Hashtbl.create capacity in
-  let order = Queue.create () in
-  fun request ->
-    let xid = request.Message.xid in
-    if xid = 0 then service request
-    else
-      match Hashtbl.find_opt replies xid with
-      | Some reply ->
-        (match on_hit with None -> () | Some f -> f request);
-        reply
-      | None ->
-        let reply = service request in
-        if Hashtbl.length replies >= capacity then Hashtbl.remove replies (Queue.pop order);
-        Hashtbl.replace replies xid reply;
-        Queue.add xid order;
-        reply
+(* replies remembered per registration for at-most-once retries *)
+let dedup_capacity = 1024
 
-let serve ?(dedup_capacity = 1024) server transport =
+let serve server transport =
   let on_hit request =
     match Amoeba_rpc.Transport.tracer transport with
     | None -> ()
@@ -240,7 +219,7 @@ let serve ?(dedup_capacity = 1024) server transport =
       Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Server ~name:"serve.dedup_hit"
         [ ("cmd", Amoeba_trace.Sink.I request.Message.command) ]
   in
-  let handler = dedup ~on_hit ~capacity:dedup_capacity (dispatch server) in
+  let handler = Amoeba_rpc.Transport.dedup ~on_hit ~capacity:dedup_capacity (dispatch server) in
   let service request =
     match Amoeba_rpc.Transport.tracer transport with
     | None -> handler request

@@ -84,10 +84,10 @@ val dispatch : Server.t -> Amoeba_rpc.Message.t -> Amoeba_rpc.Message.t
 (** Decode one request, run it against the server, encode the reply.
     Unknown commands and missing capabilities yield [Bad_request]. *)
 
-val serve : ?dedup_capacity:int -> Server.t -> Amoeba_rpc.Transport.t -> unit
-(** Register the server's dispatcher on its port, wrapped in a bounded
-    reply cache keyed by {!Amoeba_rpc.Message.t.xid} (default capacity
-    1024, FIFO eviction). A retried mutation whose first execution's
+val serve : Server.t -> Amoeba_rpc.Transport.t -> unit
+(** Register the server's dispatcher on its port, wrapped in a
+    {!Amoeba_rpc.Transport.dedup} reply cache of 1024 entries keyed by
+    {!Amoeba_rpc.Message.t.xid}. A retried mutation whose first execution's
     reply was lost gets the remembered reply rather than running twice —
     at-most-once semantics. Requests with [xid = 0] (all reads) bypass
     the cache. When the transport has a tracer installed, each dispatch

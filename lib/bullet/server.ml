@@ -1,24 +1,15 @@
 module Status = Amoeba_rpc.Status
 
-type config = {
-  cache_bytes : int;
-  max_cached_files : int;
-  cpu_request_us : int;
-  copy_bytes_per_sec : int;
-  alloc_policy : Extent_alloc.policy;
-}
+type config = { cache_bytes : int; max_cached_files : int; alloc_policy : Extent_alloc.policy }
 
 let default_config =
-  {
-    cache_bytes = 12 * 1024 * 1024;
-    max_cached_files = 4096;
-    cpu_request_us = 1_200;
-    copy_bytes_per_sec = 8_000_000;
-    alloc_policy = Extent_alloc.First_fit;
-  }
+  { cache_bytes = 12 * 1024 * 1024; max_cached_files = 4096; alloc_policy = Extent_alloc.First_fit }
+
+let cpu_request_us = 1_200
+
+let copy_bytes_per_sec = 8_000_000
 
 type t = {
-  config : config;
   mirror : Amoeba_disk.Mirror.t;
   clock : Amoeba_sim.Clock.t;
   table : Inode_table.t;
@@ -71,9 +62,9 @@ let start ?(config = default_config) ?(seed = 0x42554C4C45545FL) mirror =
       Inode_table.set table inode { entry with Layout.index = 0 }
     in
     let cache = Cache.create ~capacity:config.cache_bytes ~max_rnodes:config.max_cached_files ~on_evict in
+    let stats = Amoeba_sim.Stats.create "bullet" in
     let server =
       {
-        config;
         mirror;
         clock = Amoeba_disk.Block_device.clock (Amoeba_disk.Mirror.primary mirror);
         table;
@@ -82,9 +73,9 @@ let start ?(config = default_config) ?(seed = 0x42554C4C45545FL) mirror =
         sealer = Amoeba_cap.Sealer.of_passphrase (Printf.sprintf "bullet-%Ld" seed);
         prng;
         service_port = Amoeba_cap.Port.random (Amoeba_sim.Prng.create ~seed:(Int64.add seed 1L));
-        stats = Amoeba_sim.Stats.create "bullet";
+        stats;
         metrics = Amoeba_metrics.Metrics.create "bullet";
-        read_hist = Amoeba_sim.Stats.Hist.create ();
+        read_hist = Amoeba_sim.Stats.hist stats "read_us";
         block_size;
         pending = [];
         condemned = [];
@@ -104,11 +95,22 @@ let start ?(config = default_config) ?(seed = 0x42554C4C45545FL) mirror =
     M.gauge reg "alloc.largest_hole" (fun () -> Extent_alloc.largest_free disk_alloc);
     M.gauge reg "server.txn_pending" (fun () -> List.length server.pending);
     M.gauge reg "server.txn_condemned" (fun () -> List.length server.condemned);
-    M.register_hist reg "server.read_us" server.read_hist;
     M.stats_source reg ~prefix:"server" server.stats;
     Cache.register_metrics cache ~prefix:"cache" reg;
     Amoeba_disk.Mirror.register_metrics mirror reg;
     Ok (server, report)
+
+let boot ?config ?seed ~clock ~id ~sectors ~max_files () =
+  let geometry = Amoeba_disk.Geometry.small ~sectors in
+  let drive n = Amoeba_disk.Block_device.create ~id:(Printf.sprintf "%s-%d" id n) ~geometry ~clock in
+  (* drive ids and creation order show in traces: name 1 first *)
+  let d1 = drive 1 in
+  let d2 = drive 2 in
+  let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
+  format mirror ~max_files;
+  match start ?config ?seed mirror with
+  | Ok (server, _report) -> server
+  | Error e -> failwith (Printf.sprintf "Server.boot %s: fresh image failed to boot: %s" id e)
 
 let port t = t.service_port
 
@@ -142,19 +144,19 @@ let crash t =
 
 let charge_cpu t =
   match t.tracer with
-  | None -> Amoeba_sim.Clock.advance t.clock t.config.cpu_request_us
+  | None -> Amoeba_sim.Clock.advance t.clock cpu_request_us
   | Some tr ->
     Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Cpu ~name:"cpu.request";
-    Amoeba_sim.Clock.advance t.clock t.config.cpu_request_us;
+    Amoeba_sim.Clock.advance t.clock cpu_request_us;
     Amoeba_trace.Trace.end_span tr
 
 let charge_copy t bytes =
   if bytes > 0 then begin
     match t.tracer with
-    | None -> Amoeba_sim.Clock.advance t.clock (bytes * 1_000_000 / t.config.copy_bytes_per_sec)
+    | None -> Amoeba_sim.Clock.advance t.clock (bytes * 1_000_000 / copy_bytes_per_sec)
     | Some tr ->
       Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Cache ~name:"cache.memcpy";
-      Amoeba_sim.Clock.advance t.clock (bytes * 1_000_000 / t.config.copy_bytes_per_sec);
+      Amoeba_sim.Clock.advance t.clock (bytes * 1_000_000 / copy_bytes_per_sec);
       Amoeba_trace.Trace.end_span_attrs tr [ ("bytes", Amoeba_trace.Sink.I bytes) ]
   end
 

@@ -20,14 +20,18 @@ type t
 type config = {
   cache_bytes : int;  (** RAM devoted to the file cache *)
   max_cached_files : int;  (** rnode table size *)
-  cpu_request_us : int;  (** per-request server CPU cost *)
-  copy_bytes_per_sec : int;  (** RAM-to-RAM copy rate of the server CPU *)
   alloc_policy : Extent_alloc.policy;  (** disk extent allocation policy *)
 }
 
 val default_config : config
-(** The paper's server: a 16 MB machine leaves ~12 MB of cache; 1.2 ms of
-    CPU per request; 8 MB/s copies (16.7 MHz MC68020); first-fit. *)
+(** The paper's server: a 16 MB machine leaves ~12 MB of cache; 4096
+    rnodes; first-fit. *)
+
+val cpu_request_us : int
+(** Per-request server CPU cost: 1.2 ms. *)
+
+val copy_bytes_per_sec : int
+(** RAM-to-RAM copy rate of the server CPU: 8 MB/s (16.7 MHz MC68020). *)
 
 val format : Amoeba_disk.Mirror.t -> max_files:int -> unit
 (** mkfs: write an empty Bullet image on every replica drive. *)
@@ -40,6 +44,21 @@ val start :
 (** Boot a server on a formatted replica set: reads the whole inode table
     into RAM (charging the sequential read), runs the consistency checks,
     builds the free lists, and picks a fresh service port. *)
+
+val boot :
+  ?config:config ->
+  ?seed:int64 ->
+  clock:Amoeba_sim.Clock.t ->
+  id:string ->
+  sectors:int ->
+  max_files:int ->
+  unit ->
+  t
+(** A fresh mirrored server: two {!Amoeba_disk.Geometry.small} drives of
+    [sectors] sectors named [<id>-1] and [<id>-2] (created in that
+    order), mirrored, {!format}ted for [max_files] inodes and
+    {!start}ed.  Raises [Failure] if the fresh image fails to boot.  The
+    mirror is {!mirror}. *)
 
 val port : t -> Amoeba_cap.Port.t
 (** The port clients address; stable for the life of this incarnation. *)
@@ -215,18 +234,19 @@ val cache_stats : t -> Amoeba_sim.Stats.t
     protocol. *)
 
 val cache_bytes_evicted : t -> int
-(** The RAM cache's {!Cache.bytes_evicted} metrics cell. *)
+(** The RAM cache's {!Cache.bytes_evicted} counter. *)
 
 val stats : t -> Amoeba_sim.Stats.t
 (** Counters: [creates], [reads], [deletes], [modifies], [cache_hits],
-    [cache_misses], [txn_prepares], [txn_commits], [txn_aborts]. *)
+    [cache_misses], [txn_prepares], [txn_commits], [txn_aborts]; the
+    [read_us] latency histogram. *)
 
 val metrics : t -> Amoeba_metrics.Metrics.t
 (** The server's live metrics registry, populated at {!start}: inode and
-    extent-allocator gauges ([server.*], [alloc.*]), a [server.read_us]
-    latency histogram, the RAM cache under [cache.] (including the
-    {!Cache.bytes_evicted} cell), and the mirror under [mirror.]
-    ({!Amoeba_disk.Mirror.register_metrics}).  Scraped by the STD_STATUS
+    extent-allocator gauges ([server.*], [alloc.*]), {!stats} under
+    [server.] (so the [server.read_us] latency histogram), the RAM cache
+    under [cache.] (including [cache.bytes_evicted]), and the mirror
+    under [mirror.] ({!Amoeba_disk.Mirror.register_metrics}).  Scraped by the STD_STATUS
     protocol command and the [bulletd] text exposition; experiments can
     register further instruments of their own. *)
 

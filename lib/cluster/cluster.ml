@@ -5,7 +5,7 @@ module Tbl = Amoeba_sim.Tbl
 module Cap = Amoeba_cap.Capability
 module Server = Bullet_core.Server
 module Client = Bullet_core.Client
-module Link = Amoeba_wan.Link
+module Link = Amoeba_rpc.Link
 module Federation = Amoeba_wan.Federation
 module Metrics = Amoeba_metrics.Metrics
 module Trace = Amoeba_trace.Trace
@@ -35,7 +35,6 @@ type node = {
   name : string;
   region : string;
   server : Server.t;
-  mirror : Amoeba_disk.Mirror.t;
   mutable status : node_status;
   mutable load_hint : int; (* server reads at the last hint refresh *)
   mutable routed_since : int; (* reads we routed there since the refresh *)
@@ -97,7 +96,7 @@ let live_servers t = Ring.members t.ring
 
 let server t name = (node t name).server
 
-let server_mirror t name = (node t name).mirror
+let server_mirror t name = Server.mirror (node t name).server
 
 (* ---- placement ---- *)
 
@@ -165,22 +164,15 @@ let add_server t ~name ~region =
   if not (valid_name region) then invalid_arg "Cluster.add_server: bad region name";
   if Hashtbl.mem t.nodes name then
     invalid_arg (Printf.sprintf "Cluster.add_server: server %s exists" name);
-  let geometry = Amoeba_disk.Geometry.small ~sectors:server_sectors in
-  let d1 = Amoeba_disk.Block_device.create ~id:(name ^ "-1") ~geometry ~clock:t.clock in
-  let d2 = Amoeba_disk.Block_device.create ~id:(name ^ "-2") ~geometry ~clock:t.clock in
-  let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files;
   (* FNV-1a over the server name, as the federation does for sites: the
      same cluster build always mints the same capabilities. *)
   let seed = Prng.seed_of_string name in
   let server =
-    match Server.start ~seed mirror with
-    | Ok (server, _report) -> server
-    | Error e -> failwith (Printf.sprintf "Cluster.add_server: %s: %s" name e)
+    Server.boot ~seed ~clock:t.clock ~id:name ~sectors:server_sectors ~max_files ()
   in
   Bullet_core.Proto.serve server t.transport;
   Hashtbl.replace t.nodes name
-    { name; region; server; mirror; status = Alive; load_hint = 0; routed_since = 0 };
+    { name; region; server; status = Alive; load_hint = 0; routed_since = 0 };
   let before = t.ring in
   t.ring <- Ring.add t.ring name;
   mark_delta t ~before ~after:t.ring;

@@ -86,24 +86,11 @@ let dispatch t request =
    loop does: an injected duplicate of a 2PC leg (or a client retry whose
    reply was lost) gets the remembered reply instead of running twice.
    Ordinary directory operations carry xid = 0 and bypass the cache. *)
-let dedup ~capacity service =
-  let replies : (int, Message.t) Hashtbl.t = Hashtbl.create capacity in
-  let order = Queue.create () in
-  fun request ->
-    let xid = request.Message.xid in
-    if xid = 0 then service request
-    else
-      match Hashtbl.find_opt replies xid with
-      | Some reply -> reply
-      | None ->
-        let reply = service request in
-        if Hashtbl.length replies >= capacity then Hashtbl.remove replies (Queue.pop order);
-        Hashtbl.replace replies xid reply;
-        Queue.add xid order;
-        reply
+let dedup_capacity = 1024
 
-let serve ?(dedup_capacity = 1024) t transport =
-  Amoeba_rpc.Transport.register transport (port t) (dedup ~capacity:dedup_capacity (dispatch t))
+let serve t transport =
+  Amoeba_rpc.Transport.register transport (port t)
+    (Amoeba_rpc.Transport.dedup ~capacity:dedup_capacity (dispatch t))
 
 (* recursive comparison of the two replicas' name spaces *)
 let primary t = t.primary

@@ -46,10 +46,10 @@ val dispatch : t -> Amoeba_rpc.Message.t -> Amoeba_rpc.Message.t
     reads to the first live one. Replies come from the serving replica
     (identical on both, by construction). *)
 
-val serve : ?dedup_capacity:int -> t -> Amoeba_rpc.Transport.t -> unit
-(** Register the pair's dispatcher on its port, wrapped in a bounded
-    reply cache keyed by {!Amoeba_rpc.Message.t.xid} (default capacity
-    1024, FIFO eviction), so an injected duplicate of a 2PC leg is
+val serve : t -> Amoeba_rpc.Transport.t -> unit
+(** Register the pair's dispatcher on its port, wrapped in a
+    {!Amoeba_rpc.Transport.dedup} reply cache of 1024 entries keyed by
+    {!Amoeba_rpc.Message.t.xid}, so an injected duplicate of a 2PC leg is
     answered from the cache rather than executed twice. Ordinary
     directory operations carry [xid = 0] and bypass it. *)
 

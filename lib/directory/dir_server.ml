@@ -1,9 +1,13 @@
 module Status = Amoeba_rpc.Status
 module Cap = Amoeba_cap.Capability
 
-type config = { cpu_request_us : int; max_versions : int; p_factor : int; lease_us : int }
+type config = { max_versions : int; lease_us : int }
 
-let default_config = { cpu_request_us = 1_000; max_versions = 3; p_factor = 2; lease_us = 500_000 }
+let default_config = { max_versions = 3; lease_us = 500_000 }
+
+let cpu_request_us = 1_000
+
+let p_factor = 2
 
 type binding = { name : string; versions : Cap.t list (* newest first, non-empty *) }
 
@@ -126,13 +130,13 @@ let decode_rows data =
 
 (* ---- persistence through the Bullet store ---- *)
 
-let charge_cpu t = Amoeba_sim.Clock.advance t.clock t.config.cpu_request_us
+let charge_cpu t = Amoeba_sim.Clock.advance t.clock cpu_request_us
 
 (* Every directory mutation creates a fresh immutable Bullet file and
    deletes the previous one: the paper's versioned-update in miniature. *)
 let persist t dir =
   let data = encode_rows dir.rows in
-  let fresh = Bullet_core.Client.create t.store ~p_factor:t.config.p_factor data in
+  let fresh = Bullet_core.Client.create t.store ~p_factor data in
   (match dir.file with
   | Some old -> ( try Bullet_core.Client.delete t.store old with Status.Error _ -> ())
   | None -> ());
@@ -552,7 +556,7 @@ let checkpoint t =
       add_u16 buf (String.length a.a_name);
       Buffer.add_string buf a.a_name)
     t.applied;
-  match Bullet_core.Client.create t.store ~p_factor:t.config.p_factor (Buffer.to_bytes buf) with
+  match Bullet_core.Client.create t.store ~p_factor (Buffer.to_bytes buf) with
   | fresh ->
     (match t.checkpoint_file with Some old -> bullet_delete_quietly t old | None -> ());
     t.checkpoint_file <- Some fresh;

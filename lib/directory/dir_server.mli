@@ -21,14 +21,18 @@
 type t
 
 type config = {
-  cpu_request_us : int;  (** per-request CPU *)
   max_versions : int;  (** versions retained per name (≥ 1) *)
-  p_factor : int;  (** paranoia factor for directory file writes *)
   lease_us : int;  (** duration of binding leases granted to clients *)
 }
 
 val default_config : config
-(** 1 ms CPU, 3 versions, P-FACTOR 2, 500 ms leases. *)
+(** 3 versions, 500 ms leases. *)
+
+val cpu_request_us : int
+(** Per-request CPU: 1 ms. *)
+
+val p_factor : int
+(** Paranoia factor for directory file writes: 2, both disks. *)
 
 val create : ?config:config -> ?seed:int64 -> store:Bullet_core.Client.t -> unit -> t
 (** A directory server backed by the given Bullet service. The root

@@ -32,16 +32,11 @@ type bullet_bed = {
 
 let make_bullet_bed ?(sectors = testbed_sectors) ?(config = Server.default_config) () =
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors in
-  let d1 = Dev.create ~id:"bullet-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"bullet-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:2048;
-  let server, _report = Result.get_ok (Server.start ~config mirror) in
+  let server = Server.boot ~config ~clock ~id:"bullet" ~sectors ~max_files:2048 () in
   let transport = Amoeba_rpc.Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let client = Client.connect transport (Server.port server) in
-  { b_clock = clock; b_server = server; b_client = client; b_mirror = mirror }
+  { b_clock = clock; b_server = server; b_client = client; b_mirror = Server.mirror server }
 
 type nfs_bed = { n_clock : Clock.t; n_server : Nfs.t; n_client : Nfs_client.t }
 
@@ -579,7 +574,7 @@ let immediate_ablation () =
   in
   let plain_write_us, plain_read_us = measure Nfs.default_config in
   let immediate_write_us, immediate_read_us =
-    measure { Nfs.default_config with Nfs.immediate_files = true }
+    measure { Nfs.immediate_files = true }
   in
   let bullet_read_us =
     let bed = make_bullet_bed () in
@@ -657,7 +652,7 @@ let naming_experiment ?(depth = 5) () =
   in
   let wide =
     Amoeba_dir.Dir_client.connect
-      ~model:(Amoeba_wan.Link.model Amoeba_wan.Link.Wide)
+      ~model:(Amoeba_rpc.Link.model Amoeba_rpc.Link.Wide)
       transport (Amoeba_dir.Dir_server.port dirs)
   in
   let root = Amoeba_dir.Dir_client.get_root local in
@@ -848,15 +843,11 @@ type availability_report = {
    surviving replica is an identical drive. *)
 let fault_availability () =
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors:131_072 in
-  let d1 = Dev.create ~id:"av-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"av-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:2048;
   let config =
     { Server.default_config with cache_bytes = 512 * 1024; max_cached_files = 128 }
   in
-  let server, _ = Result.get_ok (Server.start ~config mirror) in
+  let server = Server.boot ~config ~clock ~id:"av" ~sectors:131_072 ~max_files:2048 () in
+  let mirror = Server.mirror server in
   let transport = Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let client = Client.connect ~attempts:4 ~backoff_us:25_000 transport (Server.port server) in
@@ -935,12 +926,8 @@ type reboot_point = { table_files : int; reboot_ms : float }
 let reboot_sweep ?(max_files_list = [ 512; 2_048; 8_192; 32_768 ]) () =
   let run max_files =
     let clock = Clock.create () in
-    let geometry = Geometry.small ~sectors:131_072 in
-    let d1 = Dev.create ~id:"rb-1" ~geometry ~clock in
-    let d2 = Dev.create ~id:"rb-2" ~geometry ~clock in
-    let mirror = Mirror.create [ d1; d2 ] in
-    Server.format mirror ~max_files;
-    let server, _ = Result.get_ok (Server.start ~seed:7L mirror) in
+    let server = Server.boot ~seed:7L ~clock ~id:"rb" ~sectors:131_072 ~max_files () in
+    let mirror = Server.mirror server in
     let (_ : Amoeba_cap.Capability.t) =
       Result.get_ok (Server.create server ~p_factor:2 (Bytes.make 4_096 'r'))
     in
@@ -973,12 +960,8 @@ let loss_sweep ?(loss_rates = [ 0.01; 0.02; 0.05; 0.10 ]) () =
   let pairs = 60 in
   let run loss =
     let clock = Clock.create () in
-    let geometry = Geometry.small ~sectors:131_072 in
-    let d1 = Dev.create ~id:"ls-1" ~geometry ~clock in
-    let d2 = Dev.create ~id:"ls-2" ~geometry ~clock in
-    let mirror = Mirror.create [ d1; d2 ] in
-    Server.format mirror ~max_files:2048;
-    let server, _ = Result.get_ok (Server.start mirror) in
+    let server = Server.boot ~clock ~id:"ls" ~sectors:131_072 ~max_files:2048 () in
+    let mirror = Server.mirror server in
     let transport = Transport.create ~clock in
     Bullet_core.Proto.serve server transport;
     let client = Client.connect ~attempts:10 ~backoff_us:20_000 transport (Server.port server) in
@@ -1040,16 +1023,12 @@ type crash_report = {
    retry without a single failed operation. *)
 let crash_recovery () =
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors:131_072 in
-  let d1 = Dev.create ~id:"cr-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"cr-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:2048;
   let seed = 0xBEE5L in
   let config =
     { Server.default_config with cache_bytes = 512 * 1024; max_cached_files = 128 }
   in
-  let first, _ = Result.get_ok (Server.start ~config ~seed mirror) in
+  let first = Server.boot ~config ~seed ~clock ~id:"cr" ~sectors:131_072 ~max_files:2048 () in
+  let mirror = Server.mirror first in
   let server = ref first in
   let port = Server.port first in
   let transport = Transport.create ~clock in
@@ -1109,6 +1088,14 @@ module Federation = Amoeba_wan.Federation
 module Dir_client = Amoeba_dir.Dir_client
 module Pair = Amoeba_dir.Dir_pair
 
+(* A fresh mirrored Bullet server on testbed drives, served on
+   [transport], and a client bound to it: one store of a directory
+   replica pair, or the file server of a rig. *)
+let boot_served ~clock transport name seed =
+  let server = Server.boot ~seed ~clock ~id:name ~sectors:testbed_sectors ~max_files:1024 () in
+  Bullet_core.Proto.serve server transport;
+  (server, Client.connect transport (Server.port server))
+
 type resync_window = {
   w_start_ms : int;
   w_state : string;  (** mirror state at the end of the window *)
@@ -1144,15 +1131,11 @@ type resync_report = {
    batches. *)
 let resync_experiment ?(sectors = 16_384) ?(batch = 256) () =
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors in
-  let d1 = Dev.create ~id:"rj-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"rj-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:512;
   let config =
     { Server.default_config with cache_bytes = 256 * 1024; max_cached_files = 32 }
   in
-  let server, _ = Result.get_ok (Server.start ~config mirror) in
+  let server = Server.boot ~config ~clock ~id:"rj" ~sectors ~max_files:512 () in
+  let mirror = Server.mirror server in
   let transport = Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let client = Client.connect ~attempts:4 ~backoff_us:25_000 transport (Server.port server) in
@@ -1223,6 +1206,7 @@ let resync_experiment ?(sectors = 16_384) ?(batch = 256) () =
       w_p99_ms = pct 0.99;
     }
   in
+  let geometry = Mirror.geometry mirror in
   let batch_bytes = batch * geometry.Geometry.sector_bytes in
   let step_cost =
     Geometry.access_us geometry ~sequential:false ~write:false batch_bytes
@@ -1357,19 +1341,9 @@ type pair_report = {
    same object numbers, same capabilities, same serialisation. *)
 let dir_pair_recovery () =
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors:testbed_sectors in
   let transport = Transport.create ~clock in
-  let boot name seed =
-    let d1 = Dev.create ~id:(name ^ "-1") ~geometry ~clock in
-    let d2 = Dev.create ~id:(name ^ "-2") ~geometry ~clock in
-    let mirror = Mirror.create [ d1; d2 ] in
-    Server.format mirror ~max_files:1024;
-    let server, _ = Result.get_ok (Server.start ~seed mirror) in
-    Bullet_core.Proto.serve server transport;
-    Client.connect transport (Server.port server)
-  in
-  let primary_store = boot "pairx-p" 11L in
-  let backup_store = boot "pairx-b" 22L in
+  let _, primary_store = boot_served ~clock transport "pairx-p" 11L in
+  let _, backup_store = boot_served ~clock transport "pairx-b" 22L in
   let pair = Pair.create ~primary_store ~backup_store () in
   Pair.serve pair transport;
   let dirs = Dir_client.connect transport (Pair.port pair) in
@@ -1831,16 +1805,7 @@ let lease_dir_config = { Dir_server.default_config with Dir_server.lease_us = 20
 let make_lease_rig () =
   let clock = Clock.create () in
   let transport = Transport.create ~clock in
-  let geometry = Geometry.small ~sectors:testbed_sectors in
-  let boot name seed =
-    let d1 = Dev.create ~id:(name ^ "-1") ~geometry ~clock in
-    let d2 = Dev.create ~id:(name ^ "-2") ~geometry ~clock in
-    let mirror = Mirror.create [ d1; d2 ] in
-    Server.format mirror ~max_files:1024;
-    let server, _report = Result.get_ok (Server.start ~seed mirror) in
-    Bullet_core.Proto.serve server transport;
-    (server, Client.connect transport (Server.port server))
-  in
+  let boot = boot_served ~clock transport in
   let files, files_client = boot "lease-files" 5L in
   let _, primary_store = boot "lease-dirp" 11L in
   let _, backup_store = boot "lease-dirb" 22L in
@@ -2137,15 +2102,12 @@ type lease_report = {
 let lease_cache_pressure () =
   let clock = Clock.create () in
   let transport = Transport.create ~clock in
-  let geometry = Geometry.small ~sectors:testbed_sectors in
-  let d1 = Dev.create ~id:"lp-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"lp-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:256;
   let config =
     { Server.default_config with Server.cache_bytes = 96 * 1024; max_cached_files = 4 }
   in
-  let server, _report = Result.get_ok (Server.start ~config ~seed:33L mirror) in
+  let server =
+    Server.boot ~config ~seed:33L ~clock ~id:"lp" ~sectors:testbed_sectors ~max_files:256 ()
+  in
   Bullet_core.Proto.serve server transport;
   let store = Client.connect transport (Server.port server) in
   let dirs = Dir_server.create ~config:lease_dir_config ~store () in
@@ -2153,7 +2115,7 @@ let lease_cache_pressure () =
   let dclient = Dir_client.connect transport (Dir_server.port dirs) in
   let station =
     Station.create
-      ~config:{ Station.default_config with Station.cache_bytes = 96 * 1024 }
+      ~config:{ Station.cache_bytes = 96 * 1024 }
       ~sealer:(Server.sealer server) ~store ~dirs:dclient ()
   in
   let root = Dir_server.root dirs in
@@ -2362,15 +2324,11 @@ let scenario_of ~name ~interval_us ~scraper ~health ~slo =
 let metrics_drive_rejoin () =
   let interval_us = 500_000 in
   let clock = Clock.create () in
-  let geometry = Geometry.small ~sectors:8_192 in
-  let d1 = Dev.create ~id:"mx-1" ~geometry ~clock in
-  let d2 = Dev.create ~id:"mx-2" ~geometry ~clock in
-  let mirror = Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:1024;
   let config =
     { Server.default_config with cache_bytes = 128 * 1024; max_cached_files = 16 }
   in
-  let server, _ = Result.get_ok (Server.start ~config mirror) in
+  let server = Server.boot ~config ~clock ~id:"mx" ~sectors:8_192 ~max_files:1024 () in
+  let mirror = Server.mirror server in
   let transport = Transport.create ~clock in
   Bullet_core.Proto.serve server transport;
   let client = Client.connect ~attempts:4 ~backoff_us:25_000 transport (Server.port server) in
@@ -2689,16 +2647,7 @@ type txn_rig = {
 let make_txn_rig () =
   let clock = Clock.create () in
   let transport = Transport.create ~clock in
-  let geometry = Geometry.small ~sectors:testbed_sectors in
-  let boot name seed =
-    let d1 = Dev.create ~id:(name ^ "-1") ~geometry ~clock in
-    let d2 = Dev.create ~id:(name ^ "-2") ~geometry ~clock in
-    let mirror = Mirror.create [ d1; d2 ] in
-    Server.format mirror ~max_files:1024;
-    let server, _report = Result.get_ok (Server.start ~seed mirror) in
-    Bullet_core.Proto.serve server transport;
-    (server, Client.connect transport (Server.port server))
-  in
+  let boot = boot_served ~clock transport in
   let files, files_client = boot "txn-files" 5L in
   let _, store_ap = boot "txn-dir-ap" 11L in
   let _, store_ab = boot "txn-dir-ab" 22L in

@@ -12,7 +12,7 @@ type t = {
   capacity : int;
   table : (string, entry) Hashtbl.t;
   stats : Amoeba_sim.Stats.t;
-  evicted_bytes : Amoeba_metrics.Metrics.Counter.t;
+  evicted_bytes : int ref; (* the [bytes_evicted] cell of [stats] *)
   mutable used : int;
   mutable tick : int;
   mutable tracer : Amoeba_trace.Trace.ctx option;
@@ -20,11 +20,12 @@ type t = {
 
 let create ~capacity_bytes =
   if capacity_bytes < 0 then invalid_arg "File_cache.create: negative capacity";
+  let stats = Amoeba_sim.Stats.create "client-cache" in
   {
     capacity = capacity_bytes;
     table = Hashtbl.create 64;
-    stats = Amoeba_sim.Stats.create "client-cache";
-    evicted_bytes = Amoeba_metrics.Metrics.Counter.create ();
+    stats;
+    evicted_bytes = Amoeba_sim.Stats.counter stats "bytes_evicted";
     used = 0;
     tick = 0;
     tracer = None;
@@ -82,7 +83,7 @@ let evict_one t =
     Hashtbl.remove t.table key;
     t.used <- t.used - Bytes.length e.data;
     Amoeba_sim.Stats.incr t.stats "evictions";
-    Amoeba_metrics.Metrics.Counter.add t.evicted_bytes (Bytes.length e.data);
+    t.evicted_bytes := !(t.evicted_bytes) + Bytes.length e.data;
     (match t.tracer with
     | None -> ()
     | Some tr ->
@@ -110,11 +111,10 @@ let clear t =
   Hashtbl.reset t.table;
   t.used <- 0
 
-let bytes_evicted t = Amoeba_metrics.Metrics.Counter.value t.evicted_bytes
+let bytes_evicted t = !(t.evicted_bytes)
 
 let register_metrics t ~prefix reg =
   let module M = Amoeba_metrics.Metrics in
-  M.register_counter reg (prefix ^ ".bytes_evicted") t.evicted_bytes;
   M.gauge reg (prefix ^ ".used_bytes") (fun () -> used_bytes t);
   M.gauge reg (prefix ^ ".capacity_bytes") (fun () -> capacity t);
   M.gauge reg (prefix ^ ".resident_files") (fun () -> resident_files t);

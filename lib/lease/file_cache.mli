@@ -33,18 +33,18 @@ val resident_files : t -> int
 
 val stats : t -> Amoeba_sim.Stats.t
 (** Counters: [hits], [misses], [insertions], [evictions],
-    [oversize_rejects]. *)
+    [oversize_rejects], and [bytes_evicted] (present from creation). *)
 
 val bytes_evicted : t -> int
-(** Payload bytes dropped by LRU replacement so far — a
-    {!Amoeba_metrics.Metrics.Counter} cell mirroring the server cache's
+(** Payload bytes dropped by LRU replacement so far: the
+    [bytes_evicted] cell of {!stats}, mirroring the server cache's
     counter of the same name so benches report both sides
     symmetrically. *)
 
 val register_metrics : t -> prefix:string -> Amoeba_metrics.Metrics.t -> unit
-(** Register [<prefix>.bytes_evicted], [<prefix>.used_bytes],
-    [<prefix>.capacity_bytes], [<prefix>.resident_files] and every
-    {!stats} counter under the prefix. *)
+(** Register [<prefix>.used_bytes], [<prefix>.capacity_bytes],
+    [<prefix>.resident_files] and every {!stats} counter (so
+    [<prefix>.bytes_evicted]) under the prefix. *)
 
 val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
 (** With a tracer, each eviction emits a [cache.client_evict] event. *)

@@ -26,24 +26,19 @@ module Dir_client = Amoeba_dir.Dir_client
    server's horizon, so any observed backward step drops every lease on
    the floor — the classic clock-step rule for lease managers. *)
 
-type config = {
-  cache_bytes : int;
-  skew_margin_us : int;
-  local_verify_us : int;
-  copy_bytes_per_sec : int;
-  attempts : int;
-  backoff_us : int;
-}
+type config = { cache_bytes : int }
 
-let default_config =
-  {
-    cache_bytes = 4 * 1024 * 1024;
-    skew_margin_us = 10_000;
-    local_verify_us = 50;
-    copy_bytes_per_sec = 8_000_000;
-    attempts = 4;
-    backoff_us = 50_000;
-  }
+let default_config = { cache_bytes = 4 * 1024 * 1024 }
+
+let skew_margin_us = 10_000
+
+let local_verify_us = 50
+
+let copy_bytes_per_sec = 8_000_000
+
+let attempts = 4
+
+let backoff_us = 50_000
 
 type dir_lease = {
   mutable epoch : int; (* -1 until the first grant *)
@@ -52,7 +47,6 @@ type dir_lease = {
 }
 
 type t = {
-  config : config;
   store : Bullet_core.Client.t;
   dirs : Dir_client.t;
   sealer : Amoeba_cap.Sealer.t option;
@@ -66,7 +60,6 @@ type t = {
 
 let create ?(config = default_config) ?sealer ~store ~dirs () =
   {
-    config;
     store;
     dirs;
     sealer;
@@ -114,9 +107,9 @@ let trace_event t name attrs =
    client stubs do. Lease RPCs are idempotent. *)
 let rec retrying t attempt f =
   try f ()
-  with Status.Error Status.Timeout when attempt < t.config.attempts ->
+  with Status.Error Status.Timeout when attempt < attempts ->
     Stats.incr t.stats "retries";
-    Clock.advance t.clock (Amoeba_fault.Backoff.doubling ~base_us:t.config.backoff_us ~attempt);
+    Clock.advance t.clock (Amoeba_fault.Backoff.doubling ~base_us:backoff_us ~attempt);
     retrying t (attempt + 1) f
 
 let lease_state t dir =
@@ -134,9 +127,9 @@ let lease_valid t ls = ls.epoch >= 0 && lease_now t < ls.deadline
    request went out. The server records its horizon at serve time, which
    is never earlier, so our deadline (minus the safety margin) is always
    inside the server's write-wait window. *)
-let arm t ls ~epoch ~lease_us ~sent_at =
+let arm ls ~epoch ~lease_us ~sent_at =
   ls.epoch <- epoch;
-  ls.deadline <- sent_at + lease_us - t.config.skew_margin_us
+  ls.deadline <- sent_at + lease_us - skew_margin_us
 
 let revoke t ls =
   Stats.incr t.stats "lease_revokes";
@@ -156,13 +149,13 @@ let revalidate t dir ls =
     Stats.incr t.stats "lease_renewals";
     trace_event t "lease.renew" [ ("epoch", Sink.I epoch) ]
   end;
-  arm t ls ~epoch ~lease_us ~sent_at
+  arm ls ~epoch ~lease_us ~sent_at
 
 let lookup_leased t dir ls name =
   let sent_at = lease_now t in
   let cap, epoch, lease_us = retrying t 1 (fun () -> Dir_client.lookup_lease t.dirs dir name) in
   if ls.epoch >= 0 && epoch <> ls.epoch then revoke t ls;
-  arm t ls ~epoch ~lease_us ~sent_at;
+  arm ls ~epoch ~lease_us ~sent_at;
   Stats.incr t.stats "lease_grants";
   trace_event t "lease.grant" [ ("epoch", Sink.I epoch) ];
   Hashtbl.replace ls.bindings name cap;
@@ -173,7 +166,7 @@ let charge_verify t cap =
   | Some sealer ->
     (* trusted station: decrypt-and-compare locally, a few µs of CPU *)
     Stats.incr t.stats "local_verifies";
-    Clock.advance t.clock t.config.local_verify_us;
+    Clock.advance t.clock local_verify_us;
     if not (Amoeba_cap.Sealer.verify_local sealer ~cap) then
       raise (Status.Error Status.Bad_capability)
   | None ->
@@ -185,10 +178,10 @@ let charge_verify t cap =
 let serve_cached t cap data =
   charge_verify t cap;
   (match t.tracer with
-  | None -> Clock.advance t.clock (Bytes.length data * 1_000_000 / t.config.copy_bytes_per_sec)
+  | None -> Clock.advance t.clock (Bytes.length data * 1_000_000 / copy_bytes_per_sec)
   | Some tr ->
     Trace.begin_span tr ~layer:Sink.Cache ~name:"station.memcpy";
-    Clock.advance t.clock (Bytes.length data * 1_000_000 / t.config.copy_bytes_per_sec);
+    Clock.advance t.clock (Bytes.length data * 1_000_000 / copy_bytes_per_sec);
     Trace.end_span_attrs tr [ ("bytes", Sink.I (Bytes.length data)) ]);
   Stats.incr t.stats "leased_reads";
   data

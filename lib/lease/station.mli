@@ -15,18 +15,25 @@
     mutation; (3) a lease-clock step backwards drops every lease
     (see {!set_skew}). *)
 
-type config = {
-  cache_bytes : int;  (** client file-cache capacity *)
-  skew_margin_us : int;  (** deadline safety margin against small drift *)
-  local_verify_us : int;  (** CPU charge for a trusted local check *)
-  copy_bytes_per_sec : int;  (** client RAM copy rate for cache hits *)
-  attempts : int;  (** send attempts per lease RPC (timeout retries) *)
-  backoff_us : int;  (** base backoff between retries, doubling *)
-}
+type config = { cache_bytes : int  (** client file-cache capacity *) }
 
 val default_config : config
-(** 4 MB cache, 10 ms margin, 50 µs local verify, 8 MB/s copies,
-    4 attempts with 50 ms base backoff. *)
+(** A 4 MB cache. *)
+
+val skew_margin_us : int
+(** Deadline safety margin against small drift: 10 ms. *)
+
+val local_verify_us : int
+(** CPU charge for a trusted local check: 50 µs. *)
+
+val copy_bytes_per_sec : int
+(** Client RAM copy rate for cache hits: 8 MB/s. *)
+
+val attempts : int
+(** Send attempts per lease RPC (timeout retries): 4. *)
+
+val backoff_us : int
+(** Base backoff between retries, doubling: 50 ms. *)
 
 type t
 

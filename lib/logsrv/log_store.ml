@@ -1,9 +1,13 @@
 module Status = Amoeba_rpc.Status
 module Cap = Amoeba_cap.Capability
 
-type config = { cpu_request_us : int; segment_bytes : int; p_factor : int }
+type config = { segment_bytes : int }
 
-let default_config = { cpu_request_us = 800; segment_bytes = 64 * 1024; p_factor = 1 }
+let default_config = { segment_bytes = 64 * 1024 }
+
+let cpu_request_us = 800
+
+let p_factor = 1
 
 type log = {
   random : int64;
@@ -40,7 +44,7 @@ let port t = t.service_port
 
 let stats t = t.stats
 
-let charge_cpu t = Amoeba_sim.Clock.advance t.clock t.config.cpu_request_us
+let charge_cpu t = Amoeba_sim.Clock.advance t.clock cpu_request_us
 
 let create_log t =
   charge_cpu t;
@@ -69,7 +73,7 @@ let ( let* ) = Result.bind
 let seal_tail t log =
   if Buffer.length log.tail > 0 then begin
     let data = Buffer.to_bytes log.tail in
-    let segment = Bullet_core.Client.create t.store ~p_factor:t.config.p_factor data in
+    let segment = Bullet_core.Client.create t.store ~p_factor data in
     log.sealed <- log.sealed @ [ (segment, Bytes.length data) ];
     Buffer.clear log.tail;
     Amoeba_sim.Stats.incr t.stats "segments_sealed"
@@ -138,7 +142,7 @@ let compact_log t cap =
     | exception Status.Error e -> Error e
     | () -> (
       let merged = Buffer.to_bytes buf in
-      match Bullet_core.Client.create t.store ~p_factor:t.config.p_factor merged with
+      match Bullet_core.Client.create t.store ~p_factor merged with
       | exception Status.Error e -> Error e
       | fresh ->
         let delete_quietly (segment, _) =

@@ -15,14 +15,16 @@
 
 type t
 
-type config = {
-  cpu_request_us : int;
-  segment_bytes : int;  (** tail size that triggers a segment seal *)
-  p_factor : int;  (** paranoia factor for segment writes *)
-}
+type config = { segment_bytes : int  (** tail size that triggers a segment seal *) }
 
 val default_config : config
-(** 800 µs CPU, 64 KB segments, P-FACTOR 1. *)
+(** 64 KB segments. *)
+
+val cpu_request_us : int
+(** Per-request CPU: 800 µs. *)
+
+val p_factor : int
+(** Paranoia factor for segment writes: 1. *)
 
 val create : ?config:config -> ?seed:int64 -> store:Bullet_core.Client.t -> unit -> t
 

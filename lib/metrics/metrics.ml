@@ -7,20 +7,7 @@ module Stats = Amoeba_sim.Stats
 
 exception Duplicate_metric of string
 
-module Counter = struct
-  type t = { mutable v : int }
-
-  let create () = { v = 0 }
-  let incr c = c.v <- c.v + 1
-  let add c n = c.v <- c.v + n
-  let value c = c.v
-end
-
-type instrument =
-  | I_counter of Counter.t
-  | I_gauge of (unit -> int)
-  | I_hist of Stats.Hist.t
-  | I_source of Stats.t
+type instrument = I_gauge of (unit -> int) | I_source of Stats.t
 
 type t = {
   reg_name : string;
@@ -40,21 +27,7 @@ let register t key inst =
     raise (Duplicate_metric key);
   t.instruments <- (key, inst) :: t.instruments
 
-let counter t key =
-  let c = Counter.create () in
-  register t key (I_counter c);
-  c
-
-let register_counter t key c = register t key (I_counter c)
-
 let gauge t key f = register t key (I_gauge f)
-
-let hist t key =
-  let h = Stats.Hist.create () in
-  register t key (I_hist h);
-  h
-
-let register_hist t key h = register t key (I_hist h)
 
 let stats_source t ~prefix stats = register t prefix (I_source stats)
 
@@ -85,9 +58,7 @@ let hist_value h =
 let scrape t ~at_us =
   let expand (key, inst) =
     match inst with
-    | I_counter c -> [ { s_name = key; s_value = Counter (Counter.value c) } ]
     | I_gauge f -> [ { s_name = key; s_value = Gauge (f ()) } ]
-    | I_hist h -> [ { s_name = key; s_value = hist_value h } ]
     | I_source stats ->
       List.map
         (fun (k, v) -> { s_name = key ^ "." ^ k; s_value = Counter v })

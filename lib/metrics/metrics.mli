@@ -1,10 +1,10 @@
 (** Deterministic metrics registry, scrape loop and wire codec.
 
-    Every subsystem already counts things ad hoc in its {!Amoeba_sim.Stats.t};
-    this module gives those counts a single live surface.  A registry holds
-    named {e instruments} — counters, sampled gauges, log2 histograms
-    (reusing {!Amoeba_sim.Stats.Hist}) and whole [Stats.t] sources expanded
-    under a prefix — and a {e scrape} folds every instrument into an
+    Every subsystem counts in its own {!Amoeba_sim.Stats.t} — counter
+    cells and log2 histograms — and this module gives those counts a
+    single live surface.  A registry holds two kinds of named
+    instrument: sampled {e gauges}, and whole [Stats.t] {e sources}
+    expanded under a prefix.  A {e scrape} folds every instrument into an
     immutable, name-sorted {!snapshot} stamped with virtual time.  A
     {!Scraper} polls the virtual clock and pushes snapshots into a bounded
     {!Ring}, giving each server a time series an operator (or the
@@ -18,18 +18,6 @@ exception Duplicate_metric of string
 (** Raised when two instruments are registered (or expand at scrape time)
     under the same name. *)
 
-module Counter : sig
-  (** A standalone counter cell: subsystems hold the cell and bump it on
-      the hot path with no name lookup; registries reference it. *)
-
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-end
-
 type t
 (** A registry: a named set of instruments belonging to one server. *)
 
@@ -40,26 +28,15 @@ val create : string -> t
 
 val name : t -> string
 
-val counter : t -> string -> Counter.t
-(** Create a fresh counter cell and register it.  Raises
-    {!Duplicate_metric} if the name is taken. *)
-
-val register_counter : t -> string -> Counter.t -> unit
-(** Register an existing cell — the subsystem keeps bumping its own
-    handle; scrapes read it through the registry. *)
-
 val gauge : t -> string -> (unit -> int) -> unit
-(** Register a sampled gauge; the thunk runs at every scrape. *)
-
-val hist : t -> string -> Amoeba_sim.Stats.Hist.t
-(** Create and register a fresh log2 histogram. *)
-
-val register_hist : t -> string -> Amoeba_sim.Stats.Hist.t -> unit
+(** Register a sampled gauge; the thunk runs at every scrape.  Raises
+    {!Duplicate_metric} if the name is taken. *)
 
 val stats_source : t -> prefix:string -> Amoeba_sim.Stats.t -> unit
 (** Expand a whole {!Amoeba_sim.Stats.t} at scrape time: every counter
-    [k] appears as [prefix ^ "." ^ k], every histogram likewise.  The
-    prefix itself must be unique in the registry. *)
+    [k] appears as [prefix ^ "." ^ k], every histogram likewise.  A cell
+    made with {!Amoeba_sim.Stats.counter} scrapes as 0 before its first
+    bump.  The prefix itself must be unique in the registry. *)
 
 val metric_names : t -> string list
 (** Registered names (sources by their prefix), sorted. *)

@@ -5,20 +5,15 @@ type fhandle = { ino : int; gen : int }
 
 type attr = { size : int; blocks : int; gen : int }
 
-type config = {
-  cache_bytes : int;
-  cpu_request_us : int;
-  indirect_cpu_us : int;
-  immediate_files : bool;
-}
+type config = { immediate_files : bool }
 
-let default_config =
-  {
-    cache_bytes = 3 * 1024 * 1024;
-    cpu_request_us = 3_000;
-    indirect_cpu_us = 400;
-    immediate_files = false;
-  }
+let default_config = { immediate_files = false }
+
+let cache_bytes = 3 * 1024 * 1024
+
+let cpu_request_us = 3_000
+
+let indirect_cpu_us = 400
 
 type t = {
   config : config;
@@ -95,7 +90,7 @@ let mount ?(config = default_config) device =
         config;
         device;
         clock = Amoeba_disk.Block_device.clock device;
-        cache = Buffer_cache.create ~capacity_bytes:config.cache_bytes ~device;
+        cache = Buffer_cache.create ~capacity_bytes:cache_bytes ~device;
         sb;
         bitmap = bitmap_raw;
         free_blocks = !free_blocks;
@@ -126,10 +121,10 @@ let age_cache t =
   let data_lo = L.data_start t.sb in
   Buffer_cache.flush_matching t.cache (fun bno -> bno >= data_lo)
 
-let charge_cpu t = Amoeba_sim.Clock.advance t.clock t.config.cpu_request_us
+let charge_cpu t = Amoeba_sim.Clock.advance t.clock cpu_request_us
 
 let charge_indirect t levels =
-  Amoeba_sim.Clock.advance t.clock (levels * t.config.indirect_cpu_us)
+  Amoeba_sim.Clock.advance t.clock (levels * indirect_cpu_us)
 
 (* ---- bitmap ---- *)
 

@@ -18,9 +18,6 @@ type fhandle = { ino : int; gen : int }
 type attr = { size : int; blocks : int; gen : int }
 
 type config = {
-  cache_bytes : int;  (** buffer cache size; the paper's server had 3 MB *)
-  cpu_request_us : int;  (** per-RPC server CPU (SunOS path) *)
-  indirect_cpu_us : int;  (** extra CPU per block-map traversal level *)
   immediate_files : bool;
       (** store files that fit in the inode's spare bytes inline — the
           "immediate files" optimisation of the paper's reference [1].
@@ -29,6 +26,16 @@ type config = {
 }
 
 val default_config : config
+(** SunOS 3.5: no immediate files. *)
+
+val cache_bytes : int
+(** Buffer cache size: 3 MB, as on the paper's server. *)
+
+val cpu_request_us : int
+(** Per-RPC server CPU (SunOS path): 3 ms. *)
+
+val indirect_cpu_us : int
+(** Extra CPU per block-map traversal level: 400 µs. *)
 
 val format : Amoeba_disk.Block_device.t -> max_files:int -> unit
 

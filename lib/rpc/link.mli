@@ -9,8 +9,7 @@
     The type lives here, in the RPC layer, because transactions can be
     tagged with the link they ride ({!Transport.trans}'s [?link]) so a
     fault plan can target one link class — losing messages on the
-    international line must not touch local traffic. [Amoeba_wan.Link]
-    re-exports it for the federation code. *)
+    international line must not touch local traffic. *)
 
 type t =
   | Local  (** same 10 Mbit/s Ethernet segment *)

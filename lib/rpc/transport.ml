@@ -1,5 +1,29 @@
 type service = Message.t -> Message.t
 
+(* At-most-once execution for mutations over a lossy wire: remember the
+   reply to each xid-stamped request, bounded FIFO. A retry of a request
+   whose reply was lost (or that arrived in duplicate) gets the cached
+   reply instead of executing again. The cache lives with the
+   registration, not the server state — a reboot forgets it, which is the
+   honest at-most-once window of the real protocol. *)
+let dedup ?on_hit ~capacity service =
+  let replies : (int, Message.t) Hashtbl.t = Hashtbl.create capacity in
+  let order = Queue.create () in
+  fun request ->
+    let xid = request.Message.xid in
+    if xid = 0 then service request
+    else
+      match Hashtbl.find_opt replies xid with
+      | Some reply ->
+        (match on_hit with None -> () | Some f -> f request);
+        reply
+      | None ->
+        let reply = service request in
+        if Hashtbl.length replies >= capacity then Hashtbl.remove replies (Queue.pop order);
+        Hashtbl.replace replies xid reply;
+        Queue.add xid order;
+        reply
+
 type delivery = Deliver | Drop_request | Drop_reply | Duplicate_request | Corrupt_reply
 
 type fault_hook = link:Link.t option -> Message.t -> delivery

@@ -165,7 +165,7 @@ let run ?sink ?metrics ?observer config =
   let profiles = Array.of_list config.profiles in
   let queue : event Event_queue.t = Event_queue.create () in
   (* every push carries an explicit, strictly monotone pin so the
-     tie-race sanitizer can prove same-(time, prio) orderings are meant,
+     tie-race sanitizer can prove same-time orderings are meant,
      not accidents of insertion order *)
   let pin_n = ref 0 in
   let pin () =
@@ -188,31 +188,22 @@ let run ?sink ?metrics ?observer config =
   let req_counter = ref 0 in
   let span_counter = ref 0 in
   let admitted = ref 0 in
-  (* the run's tallies live in metrics counter cells so a registry scrape
-     mid-run reads the same instruments the final report is built from *)
-  let module MC = Amoeba_metrics.Metrics.Counter in
-  let offered = MC.create () in
-  let completed = MC.create () in
-  let failed = MC.create () in
-  let shed_n = MC.create () in
-  let miss_n = MC.create () in
-  let abandon_n = MC.create () in
-  let retry_n = MC.create () in
-  let late_n = MC.create () in
-  let resp_hist = Stats.Hist.create () in
+  (* the run's tallies are cells of [stats] so a registry scrape mid-run
+     reads the same instruments the final report is built from *)
+  let offered = Stats.counter stats "offered" in
+  let completed = Stats.counter stats "completed" in
+  let failed = Stats.counter stats "failed" in
+  let shed_n = Stats.counter stats "sheds" in
+  let miss_n = Stats.counter stats "deadline_misses" in
+  let abandon_n = Stats.counter stats "abandoned" in
+  let retry_n = Stats.counter stats "retried" in
+  let late_n = Stats.counter stats "late" in
+  let resp_hist = Stats.hist stats "response_us" in
   (match metrics with
   | None -> ()
   | Some reg ->
     let module M = Amoeba_metrics.Metrics in
-    M.register_counter reg "sched.offered" offered;
-    M.register_counter reg "sched.completed" completed;
-    M.register_counter reg "sched.failed" failed;
-    M.register_counter reg "sched.sheds" shed_n;
-    M.register_counter reg "sched.deadline_misses" miss_n;
-    M.register_counter reg "sched.abandoned" abandon_n;
-    M.register_counter reg "sched.retried" retry_n;
-    M.register_counter reg "sched.late" late_n;
-    M.register_hist reg "sched.response_us" resp_hist;
+    M.stats_source reg ~prefix:"sched" stats;
     M.gauge reg "sched.accept_queue" (fun () -> Queue.length accept_q);
     M.gauge reg "sched.admitted" (fun () -> !admitted));
   let max_accept = ref 0 in
@@ -273,12 +264,12 @@ let run ?sink ?metrics ?observer config =
   let retry_or_fail cs c attempt now =
     match config.overload.retry with
     | Some p when attempt < p.Backoff.attempts ->
-      MC.incr retry_n;
+      incr retry_n;
       Event_queue.push ~pin:(pin ()) ~site:"sched.retry" queue
         ~time:(now + Backoff.delay_us p ~attempt)
         (Retry (c, cs.cur_req, attempt + 1))
     | Some _ | None ->
-      MC.incr failed;
+      incr failed;
       next_request cs c now
   in
   (* station mechanics ------------------------------------------------ *)
@@ -348,11 +339,11 @@ let run ?sink ?metrics ?observer config =
       let response_us = now - job.j_req_start_us in
       Stats.observe stats "response_ms" (float_of_int response_us /. 1000.);
       Stats.Hist.record resp_hist response_us;
-      MC.incr completed;
+      incr completed;
       next_request cs job.j_client now
     end
     else begin
-      MC.incr late_n;
+      incr late_n;
       close_root job now "late"
     end;
     drain_accept now
@@ -375,7 +366,7 @@ let run ?sink ?metrics ?observer config =
         | Some job -> (
           match config.overload.policy with
           | Deadline d when now - job.j_submit_us > d ->
-            MC.incr miss_n;
+            incr miss_n;
             emit_event job now "sched.deadline_miss";
             close_root job now "deadline";
             if job.j_live then begin
@@ -397,7 +388,7 @@ let run ?sink ?metrics ?observer config =
       cs.issued <- cs.issued + 1
     end;
     cs.cur_attempt <- attempt;
-    MC.incr offered;
+    incr offered;
     (* client [c]'s k-th request runs profile [(c + k) mod n]: staggered
        so simultaneous clients spread over the mix, cycling so every
        population sees the full mix *)
@@ -429,7 +420,7 @@ let run ?sink ?metrics ?observer config =
     else
       match config.overload.policy with
       | Shed ->
-        MC.incr shed_n;
+        incr shed_n;
         emit_event job now "sched.shed";
         close_root job now "shed";
         job.j_live <- false;
@@ -455,7 +446,7 @@ let run ?sink ?metrics ?observer config =
       match cs.waiting with
       | Some job when job.j_req = req && job.j_attempt = attempt ->
         touch at;
-        MC.incr abandon_n;
+        incr abandon_n;
         emit_event job at "sched.abandon";
         job.j_live <- false;
         cs.waiting <- None;
@@ -518,16 +509,16 @@ let run ?sink ?metrics ?observer config =
   let summary = Stats.summary stats "response_ms" in
   {
     simulated_us = span;
-    offered = MC.value offered;
-    completed = MC.value completed;
-    failed = MC.value failed;
-    shed_count = MC.value shed_n;
-    deadline_misses = MC.value miss_n;
-    abandoned = MC.value abandon_n;
-    retried = MC.value retry_n;
-    late = MC.value late_n;
+    offered = !offered;
+    completed = !completed;
+    failed = !failed;
+    shed_count = !shed_n;
+    deadline_misses = !miss_n;
+    abandoned = !abandon_n;
+    retried = !retry_n;
+    late = !late_n;
     max_accept_queue = !max_accept;
-    throughput_per_sec = float_of_int (MC.value completed) /. (float_of_int span /. 1e6);
+    throughput_per_sec = float_of_int !completed /. (float_of_int span /. 1e6);
     mean_response_ms = summary.Stats.mean;
     p50_response_ms = Stats.percentile stats "response_ms" 0.5;
     p95_response_ms = Stats.percentile stats "response_ms" 0.95;

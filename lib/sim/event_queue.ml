@@ -1,22 +1,22 @@
-type 'a entry = { at : int; prio : int; seq : int; pin : int option; site : string option; payload : 'a }
+type 'a entry = { at : int; seq : int; pin : int option; site : string option; payload : 'a }
 
 type 'a t = {
-  mutable heap : 'a entry array; (* min-heap on (at, prio, seq); slot 0 unused *)
+  mutable heap : 'a entry array; (* min-heap on (at, seq); slot 0 unused *)
   mutable count : int;
   mutable next_seq : int;
-  (* tie-sanitizer side state: pending entries bucketed by (at, prio),
+  (* tie-sanitizer side state: pending entries bucketed by time,
      maintained only while the check is enabled so the normal path stays
      allocation-free *)
-  pending : (int * int, (int * int option * string option) list ref) Hashtbl.t;
+  pending : (int, (int * int option * string option) list ref) Hashtbl.t;
 }
 
 (* ---- the tie-race sanitizer ----
 
    Opt-in (AMOEBA_TIE_CHECK=1 or [set_tie_check true]); purely
-   observational: ordering is ALWAYS (at, prio, seq) with seq the
+   observational: ordering is ALWAYS (at, seq) with seq the
    insertion order, exactly as before this mode existed, so enabling the
    check can never change a simulation's bytes. What it adds is a
-   discipline: when two events land on the same (time, priority), their
+   discipline: when two events land on the same time, their
    relative order is decided by insertion order alone — a race the
    scheduler author may not have meant. The check demands that every
    member of such a collision carry an explicit [?pin] sequence number,
@@ -26,7 +26,6 @@ type 'a t = {
 
 type tie = {
   tie_at : int;
-  tie_prio : int;
   tie_first : string; (* earlier-queued site, or "<unpinned>" *)
   tie_second : string;
   tie_reason : string;
@@ -48,16 +47,14 @@ let () =
 let site_name = function Some s -> s | None -> "<unpinned>"
 
 let tie_to_string t =
-  Printf.sprintf "tie at t=%d prio=%d between %s and %s (%s)" t.tie_at t.tie_prio t.tie_first
-    t.tie_second t.tie_reason
+  Printf.sprintf "tie at t=%d between %s and %s (%s)" t.tie_at t.tie_first t.tie_second
+    t.tie_reason
 
-let record_tie ~at ~prio ~first ~second ~reason =
-  all_ties :=
-    { tie_at = at; tie_prio = prio; tie_first = first; tie_second = second; tie_reason = reason }
-    :: !all_ties
+let record_tie ~at ~first ~second ~reason =
+  all_ties := { tie_at = at; tie_first = first; tie_second = second; tie_reason = reason } :: !all_ties
 
 let check_collision t (e : 'a entry) =
-  let key = (e.at, e.prio) in
+  let key = e.at in
   let bucket =
     match Hashtbl.find_opt t.pending key with
     | Some b -> b
@@ -71,18 +68,18 @@ let check_collision t (e : 'a entry) =
       match (pin, e.pin) with
       | Some p, Some q when q > p -> ()
       | Some p, Some q ->
-        record_tie ~at:e.at ~prio:e.prio ~first:(site_name site) ~second:(site_name e.site)
+        record_tie ~at:e.at ~first:(site_name site) ~second:(site_name e.site)
           ~reason:
             (Printf.sprintf "pins %d then %d do not agree with the insertion order that decides it"
                p q)
       | _ ->
-        record_tie ~at:e.at ~prio:e.prio ~first:(site_name site) ~second:(site_name e.site)
+        record_tie ~at:e.at ~first:(site_name site) ~second:(site_name e.site)
           ~reason:"relative order decided only by insertion order; pass ~pin to make it explicit")
     !bucket;
   bucket := (e.seq, e.pin, e.site) :: !bucket
 
 let uncheck_collision t (e : 'a entry) =
-  let key = (e.at, e.prio) in
+  let key = e.at in
   match Hashtbl.find_opt t.pending key with
   | None -> ()
   | Some b ->
@@ -94,9 +91,7 @@ let uncheck_collision t (e : 'a entry) =
 let create () =
   { heap = Array.make 16 (Obj.magic 0); count = 0; next_seq = 0; pending = Hashtbl.create 8 }
 
-let less a b =
-  a.at < b.at
-  || (a.at = b.at && (a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)))
+let less a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -122,9 +117,9 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let push ?(prio = 0) ?pin ?site t ~time payload =
+let push ?pin ?site t ~time payload =
   if time < 0 then invalid_arg "Event_queue.push: negative time";
-  let entry = { at = time; prio; seq = t.next_seq; pin; site; payload } in
+  let entry = { at = time; seq = t.next_seq; pin; site; payload } in
   t.next_seq <- t.next_seq + 1;
   if !tie_enabled then check_collision t entry;
   if t.count + 1 >= Array.length t.heap then begin

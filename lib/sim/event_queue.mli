@@ -1,16 +1,14 @@
 (** A binary-heap event queue for discrete-event simulation.
 
-    Events order by (time, priority, sequence); the sequence number is
-    the insertion order and breaks every remaining tie, so simultaneous
-    events pop in insertion order and the simulation stays
-    deterministic. [prio] defaults to 0, making the order identical to
-    the historical (time, sequence) heap unless a caller opts in.
+    Events order by (time, sequence); the sequence number is the
+    insertion order and breaks every tie, so simultaneous events pop in
+    insertion order and the simulation stays deterministic.
 
     {2 The tie-race sanitizer}
 
-    Deterministic is not the same as meant: two events at the same
-    (time, priority) pop in whatever order the code happened to push
-    them, which is a latent race against refactorings. With the
+    Deterministic is not the same as meant: two events at the same time
+    pop in whatever order the code happened to push them, which is a
+    latent race against refactorings. With the
     sanitizer enabled ([AMOEBA_TIE_CHECK=1] in the environment, or
     [set_tie_check true] — dune runtest and the CI determinism jobs do)
     every such collision must carry an explicit [?pin] sequence number,
@@ -23,12 +21,11 @@ type 'a t
 
 val create : unit -> 'a t
 
-val push : ?prio:int -> ?pin:int -> ?site:string -> 'a t -> time:int -> 'a -> unit
-(** Schedule a payload at an absolute time (µs). [prio] breaks same-time
-    ties ahead of insertion order (lower pops first; default 0). [pin]
-    asserts this event's place among same-(time, prio) events: within a
-    collision set, pins must be strictly increasing in insertion order.
-    [site] names the scheduling site in tie reports. *)
+val push : ?pin:int -> ?site:string -> 'a t -> time:int -> 'a -> unit
+(** Schedule a payload at an absolute time (µs). [pin] asserts this
+    event's place among same-time events: within a collision set, pins
+    must be strictly increasing in insertion order. [site] names the
+    scheduling site in tie reports. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Earliest event, or [None] when empty. *)
@@ -43,7 +40,6 @@ val is_empty : 'a t -> bool
 
 type tie = {
   tie_at : int;
-  tie_prio : int;
   tie_first : string;  (** earlier-queued site, or ["<unpinned>"] *)
   tie_second : string;
   tie_reason : string;

@@ -79,6 +79,11 @@ val percentile : t -> string -> float -> float
     observations replace random earlier ones — reservoir sampling).
     Returns 0 for an empty series. *)
 
+val counter : t -> string -> int ref
+(** The named counter's cell, created at 0 on first use; {!counters}
+    lists it from that moment.  Hold on to the cell to bump it from a hot
+    path without a name lookup ({!reset} detaches held cells). *)
+
 val hist : t -> string -> Hist.t
 (** The named histogram, created empty on first use.  Hold on to the
     result when recording from a hot loop — the lookup allocates, the

@@ -2,7 +2,6 @@ module Cap = Amoeba_cap.Capability
 module Port = Amoeba_cap.Port
 module Status = Amoeba_rpc.Status
 module Plan = Amoeba_fault.Plan
-module Counter = Amoeba_metrics.Metrics.Counter
 
 exception Crashed of Plan.txn_edge
 
@@ -17,9 +16,6 @@ type t = {
   injector : Amoeba_fault.Injector.t option;
   tracer : Amoeba_trace.Trace.ctx option;
   stats : Amoeba_sim.Stats.t;
-  prepared : Counter.t;
-  committed : Counter.t;
-  aborted : Counter.t;
   mutable next_txn : int;
 }
 
@@ -48,18 +44,17 @@ let create ?injector ?tracer ?metrics ~bullets ~dirs () =
       injector;
       tracer;
       stats = Amoeba_sim.Stats.create "txn";
-      prepared = Counter.create ();
-      committed = Counter.create ();
-      aborted = Counter.create ();
       next_txn = 1;
     }
   in
+  (* the outcome counters scrape as 0 before the first transaction *)
+  List.iter
+    (fun key -> ignore (Amoeba_sim.Stats.counter t.stats key : int ref))
+    [ "prepared"; "committed"; "aborted" ];
   (match metrics with
   | None -> ()
   | Some registry ->
-    Amoeba_metrics.Metrics.register_counter registry "txn.prepared" t.prepared;
-    Amoeba_metrics.Metrics.register_counter registry "txn.committed" t.committed;
-    Amoeba_metrics.Metrics.register_counter registry "txn.aborted" t.aborted;
+    Amoeba_metrics.Metrics.stats_source registry ~prefix:"txn" t.stats;
     Amoeba_metrics.Metrics.gauge registry "txn.in_doubt" (fun () -> in_doubt_count t));
   t
 
@@ -111,8 +106,7 @@ let abort_action t ~txn = function
    replies were lost before the coordinator could log them (presumed
    abort: unknown transactions answer Ok). *)
 let abort_txn t txn actions =
-  Amoeba_sim.Stats.incr t.stats "aborts";
-  Counter.incr t.aborted;
+  Amoeba_sim.Stats.incr t.stats "aborted";
   let ok = ref true in
   let note = function Ok () -> () | Error Status.Timeout -> ok := false | Error _ -> () in
   List.iter (fun a -> note (abort_action t ~txn a)) actions;
@@ -127,8 +121,7 @@ let abort_txn t txn actions =
    any decision a crash or lost message withheld. *)
 let commit_txn t txn actions =
   Wal.append t.wal (Wal.Commit txn);
-  Amoeba_sim.Stats.incr t.stats "commits";
-  Counter.incr t.committed;
+  Amoeba_sim.Stats.incr t.stats "committed";
   point t Plan.Coord_after_commit_record;
   let ok = ref true in
   let first = ref true in
@@ -143,8 +136,7 @@ let commit_txn t txn actions =
   Committed
 
 let log_prepared t txn action =
-  Counter.incr t.prepared;
-  Amoeba_sim.Stats.incr t.stats "prepares";
+  Amoeba_sim.Stats.incr t.stats "prepared";
   Wal.append t.wal (Wal.Prepared (txn, action))
 
 let begin_txn t =

@@ -52,15 +52,16 @@ val create :
   t
 (** A coordinator over the given participant clients (decision legs are
     routed by capability port). [injector] wires the crash points;
-    [metrics] registers [txn.prepared] / [txn.committed] / [txn.aborted]
-    counters and the [txn.in_doubt] gauge into the given registry — the
+    [metrics] registers {!stats} under the [txn.] prefix (so
+    [txn.prepared] / [txn.committed] / [txn.aborted], 0 from creation)
+    and the [txn.in_doubt] gauge into the given registry — the
     TXN experiment mounts them on the Bullet server's registry so
     STD_STATUS and [bullet_top] surface them. *)
 
 val wal : t -> Wal.t
 
 val stats : t -> Amoeba_sim.Stats.t
-(** Counters: [txns], [prepares], [commits], [aborts],
+(** Counters: [txns], [prepared], [committed], [aborted],
     [unresolved_commits] / [unresolved_aborts] (decision or abort legs
     timed out; {!recover} will finish the job), [recovered_commits] /
     [recovered_aborts]. *)

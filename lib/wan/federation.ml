@@ -1,4 +1,5 @@
 module Clock = Amoeba_sim.Clock
+module Link = Amoeba_rpc.Link
 module Server = Bullet_core.Server
 module Client = Bullet_core.Client
 module Dir = Amoeba_dir.Dir_server
@@ -53,16 +54,11 @@ let dir_client t ~from =
 
 let boot_site ~clock ~transport ~sites ~sectors ~name ~region =
   if Hashtbl.mem sites name then invalid_arg (Printf.sprintf "Federation: site %s exists" name);
-  let geometry = Amoeba_disk.Geometry.small ~sectors in
-  let d1 = Amoeba_disk.Block_device.create ~id:(name ^ "-1") ~geometry ~clock in
-  let d2 = Amoeba_disk.Block_device.create ~id:(name ^ "-2") ~geometry ~clock in
-  let mirror = Amoeba_disk.Mirror.create [ d1; d2 ] in
-  Server.format mirror ~max_files:1024;
   (* FNV-1a over the site name: stable across compiler versions, unlike
      Hashtbl.hash, so a federation built from the same site names always
      mints the same capabilities. *)
   let seed = Amoeba_sim.Prng.seed_of_string name in
-  let server, _report = Result.get_ok (Server.start ~seed mirror) in
+  let server = Server.boot ~seed ~clock ~id:name ~sectors ~max_files:1024 () in
   Bullet_core.Proto.serve server transport;
   Hashtbl.replace sites name { region; server }
 

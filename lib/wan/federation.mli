@@ -7,7 +7,7 @@
 
     A federation hosts one Bullet server per {e site}; sites belong to
     {e regions}, and RPC between two parties is charged at the
-    {!Link.t} their placement implies. A published file may be
+    {!Amoeba_rpc.Link.t} their placement implies. A published file may be
     replicated at several sites: its name binds to a {e replica
     descriptor} (itself a Bullet file at the home site) listing the
     replica capabilities, and a reader fetches from the closest replica.
@@ -35,9 +35,9 @@ val clock : t -> Amoeba_sim.Clock.t
 
 val transport : t -> Amoeba_rpc.Transport.t
 (** The shared transport — where a fault injector attaches. Every
-    cross-site transaction is tagged with the {!Link.t} between the two
-    parties, so link-scoped plan events apply to exactly the traffic
-    that rides that class of line. *)
+    cross-site transaction is tagged with the {!Amoeba_rpc.Link.t}
+    between the two parties, so link-scoped plan events apply to exactly
+    the traffic that rides that class of line. *)
 
 val home : t -> site
 
@@ -47,7 +47,7 @@ val add_site : t -> name:site -> region:string -> unit
 
 val sites : t -> site list
 
-val link_between : t -> site -> site -> Link.t
+val link_between : t -> site -> site -> Amoeba_rpc.Link.t
 
 (** {2 Replica descriptors and routing}
 
@@ -65,13 +65,17 @@ val decode_descriptor : bytes -> (site * Amoeba_cap.Capability.t) list
 (** Inverse of {!encode_descriptor}. *)
 
 val rank_replicas :
-  ?load:(site -> int) -> link_to:(site -> Link.t) -> (site * 'a) list -> (site * 'a) list
+  ?load:(site -> int) ->
+  link_to:(site -> Amoeba_rpc.Link.t) ->
+  (site * 'a) list ->
+  (site * 'a) list
 (** Candidates ordered best-first: ascending link class ([Local] <
     [Regional] < [Wide]) under [link_to], then ascending [load] hint
     (default: none — pure link distance), then site name, so equal
     candidates break identically everywhere. *)
 
-val pick_replica : ?load:(site -> int) -> link_to:(site -> Link.t) -> (site * 'a) list -> site * 'a
+val pick_replica :
+  ?load:(site -> int) -> link_to:(site -> Amoeba_rpc.Link.t) -> (site * 'a) list -> site * 'a
 (** Head of {!rank_replicas}. Raises [Failure] on an empty list. *)
 
 val publish :

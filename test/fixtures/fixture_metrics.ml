@@ -8,6 +8,6 @@
 module M = Amoeba_metrics.Metrics
 
 let wire reg =
-  ignore (M.counter reg "fixture.requests");
+  M.gauge reg "fixture.requests" (fun () -> 1);
   M.gauge reg "fixture.depth" (fun () -> 0);
   M.gauge reg "fixture.requests" (fun () -> 0)

@@ -243,13 +243,9 @@ let test_skewed_station_never_stale_after_delete () =
 let make_pair_rig () =
   let b = make_bullet () in
   let clock = b.rig.clock in
-  let geometry = Amoeba_disk.Geometry.small ~sectors:16_384 in
-  let b1 = Amoeba_disk.Block_device.create ~id:"bk1" ~geometry ~clock in
-  let b2 = Amoeba_disk.Block_device.create ~id:"bk2" ~geometry ~clock in
-  let backup_mirror = Amoeba_disk.Mirror.create [ b1; b2 ] in
-  Bullet_core.Server.format backup_mirror ~max_files:256;
-  let backup_server, _ =
-    Result.get_ok (Bullet_core.Server.start ~config:small_bullet_config ~seed:77L backup_mirror)
+  let backup_server =
+    Bullet_core.Server.boot ~config:small_bullet_config ~seed:77L ~clock ~id:"bk" ~sectors:16_384
+      ~max_files:256 ()
   in
   Bullet_core.Proto.serve backup_server b.transport;
   let backup_store = Bullet_core.Client.connect b.transport (Bullet_core.Server.port backup_server) in

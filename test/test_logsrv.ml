@@ -24,7 +24,7 @@ let test_append_read_roundtrip () =
   check_string "contents" "hello world" (Bytes.to_string (ok_exn (Log.read_log log cap)))
 
 let test_segment_sealing_at_threshold () =
-  let config = { Log.default_config with Log.segment_bytes = 100 } in
+  let config = { Log.segment_bytes = 100 } in
   let _bullet, log = make ~config () in
   let cap = Log.create_log log in
   ignore (ok_exn (Log.append log cap (payload 60)));
@@ -72,7 +72,7 @@ let test_append_cost_independent_of_log_size () =
   check_bool "log append ≪ whole-file append" true (t_small_append * 10 < t_naive)
 
 let test_compact_log_merges_segments () =
-  let config = { Log.default_config with Log.segment_bytes = 50 } in
+  let config = { Log.segment_bytes = 50 } in
   let bullet, log = make ~config () in
   let cap = Log.create_log log in
   let rec grow n = if n > 0 then (ignore (ok_exn (Log.append log cap (payload 60))); grow (n - 1)) in

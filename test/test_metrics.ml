@@ -13,41 +13,41 @@ module Health = Amoeba_metrics.Health
 
 let test_registry_scrape () =
   let reg = Metrics.create "t" in
-  let c = Metrics.counter reg "requests" in
-  Metrics.Counter.add c 7;
+  let stats = Stats.create "svc" in
+  Stats.add stats "requests" 7;
   let cell = ref 3 in
   Metrics.gauge reg "depth" (fun () -> !cell);
-  let h = Metrics.hist reg "lat_us" in
-  Stats.Hist.record h 100;
-  Stats.Hist.record h 200;
+  Stats.record stats "lat_us" 100;
+  Stats.record stats "lat_us" 200;
+  Metrics.stats_source reg ~prefix:"svc" stats;
   let snap = Metrics.scrape reg ~at_us:42 in
   check_int "snapshot time" 42 snap.Metrics.at_us;
   check_int "three metrics" 3 (List.length snap.Metrics.samples);
-  (* sorted by name: depth, lat_us, requests *)
-  check_string "sorted names" "depth,lat_us,requests"
+  (* sorted by name: depth, svc.lat_us, svc.requests *)
+  check_string "sorted names" "depth,svc.lat_us,svc.requests"
     (String.concat "," (List.map (fun s -> s.Metrics.s_name) snap.Metrics.samples));
   check_int "counter read" 7
-    (Metrics.value_int (Option.get (Metrics.find snap "requests")));
+    (Metrics.value_int (Option.get (Metrics.find snap "svc.requests")));
   check_int "gauge read" 3 (Metrics.value_int (Option.get (Metrics.find snap "depth")));
   cell := 9;
   let snap2 = Metrics.scrape reg ~at_us:43 in
   check_int "gauge is live" 9 (Metrics.value_int (Option.get (Metrics.find snap2 "depth")));
-  (match Metrics.find snap "lat_us" with
+  (match Metrics.find snap "svc.lat_us" with
   | Some (Metrics.Hist { count; sum; _ }) ->
     check_int "hist count" 2 count;
     check_int "hist sum" 300 sum
-  | _ -> Alcotest.fail "lat_us should scrape as a histogram");
+  | _ -> Alcotest.fail "svc.lat_us should scrape as a histogram");
   check_bool "missing metric" true (Metrics.find snap "nope" = None)
 
 let test_duplicate_name_raises () =
   let reg = Metrics.create "dup" in
-  ignore (Metrics.counter reg "n");
-  Alcotest.check_raises "duplicate counter" (Metrics.Duplicate_metric "n") (fun () ->
+  Metrics.stats_source reg ~prefix:"n" (Stats.create "n");
+  Alcotest.check_raises "duplicate source" (Metrics.Duplicate_metric "n") (fun () ->
       Metrics.gauge reg "n" (fun () -> 0));
   let reg2 = Metrics.create "dup2" in
   Metrics.gauge reg2 "g" (fun () -> 0);
-  Alcotest.check_raises "duplicate hist" (Metrics.Duplicate_metric "g") (fun () ->
-      ignore (Metrics.hist reg2 "g"))
+  Alcotest.check_raises "duplicate gauge" (Metrics.Duplicate_metric "g") (fun () ->
+      Metrics.stats_source reg2 ~prefix:"g" (Stats.create "g"))
 
 let test_stats_source_expansion () =
   let reg = Metrics.create "src" in
@@ -66,14 +66,32 @@ let test_stats_source_expansion () =
   check_int "live expansion" 2
     (Metrics.value_int (Option.get (Metrics.find snap2 "server.reads")))
 
+let test_held_counter_cell () =
+  let reg = Metrics.create "cell" in
+  let stats = Stats.create "server" in
+  Metrics.stats_source reg ~prefix:"server" stats;
+  let evicted = Stats.counter stats "bytes_evicted" in
+  let scraped at =
+    match Metrics.find (Metrics.scrape reg ~at_us:at) "server.bytes_evicted" with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "server.bytes_evicted should scrape as a counter"
+  in
+  check_int "0 before the first bump" 0 (scraped 0);
+  evicted := !evicted + 4096;
+  check_int "follows the held cell" 4096 (scraped 1);
+  Stats.add stats "bytes_evicted" 512;
+  check_int "name and cell are one counter" 4608 (scraped 2);
+  check_int "the cell sees bumps by name" 4608 !evicted
+
 (* ---- wire codec ---- *)
 
 let test_codec_roundtrip () =
   let reg = Metrics.create "wire" in
-  Metrics.Counter.add (Metrics.counter reg "c") 123456789;
+  let stats = Stats.create "w" in
+  Stats.add stats "c" 123456789;
   Metrics.gauge reg "g" (fun () -> -5);
-  let h = Metrics.hist reg "h" in
-  List.iter (Stats.Hist.record h) [ 10; 20; 30; 40; 5000 ];
+  List.iter (Stats.record stats "h") [ 10; 20; 30; 40; 5000 ];
+  Metrics.stats_source reg ~prefix:"w" stats;
   let snap = Metrics.scrape reg ~at_us:987_654_321 in
   let bytes = Metrics.encode_snapshot snap in
   (match Metrics.decode_snapshot bytes with
@@ -108,11 +126,13 @@ let test_ring_bounds () =
 let test_scraper_interval () =
   let clock = Clock.create () in
   let reg = Metrics.create "scrape" in
-  let c = Metrics.counter reg "ticks" in
+  let stats = Stats.create "s" in
+  let c = Stats.counter stats "ticks" in
+  Metrics.stats_source reg ~prefix:"s" stats;
   let scraper = Metrics.Scraper.create ~registry:reg ~clock ~interval_us:1_000 ~capacity:8 in
   (* due immediately at creation time *)
   check_bool "first poll scrapes" true (Metrics.Scraper.poll scraper <> None);
-  Metrics.Counter.incr c;
+  incr c;
   check_bool "not due again" true (Metrics.Scraper.poll scraper = None);
   Clock.advance clock 999;
   check_bool "still not due" true (Metrics.Scraper.poll scraper = None);
@@ -122,7 +142,7 @@ let test_scraper_interval () =
   | Some snap ->
     check_int "scraped at virtual now" 1_000 snap.Metrics.at_us;
     check_int "sees the counter" 1
-      (Metrics.value_int (Option.get (Metrics.find snap "ticks"))));
+      (Metrics.value_int (Option.get (Metrics.find snap "s.ticks"))));
   let forced = Metrics.Scraper.force scraper in
   check_int "force scrapes now" 1_000 forced.Metrics.at_us;
   check_int "ring keeps all three" 3 (Metrics.Ring.length (Metrics.Scraper.ring scraper))
@@ -349,6 +369,7 @@ let suite =
       Alcotest.test_case "registry scrape" `Quick test_registry_scrape;
       Alcotest.test_case "duplicate names raise" `Quick test_duplicate_name_raises;
       Alcotest.test_case "stats source expansion" `Quick test_stats_source_expansion;
+      Alcotest.test_case "held counter cell scrapes live" `Quick test_held_counter_cell;
       Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
       Alcotest.test_case "ring bounds" `Quick test_ring_bounds;
       Alcotest.test_case "scraper interval" `Quick test_scraper_interval;

@@ -239,7 +239,7 @@ let make_immediate_server () =
   let clock = Clock.create () in
   let dev = Dev.create ~id:"imm" ~geometry ~clock in
   Nfs.format dev ~max_files:256;
-  let config = { Nfs.default_config with Nfs.immediate_files = true } in
+  let config = { Nfs.immediate_files = true } in
   (clock, dev, Result.get_ok (Nfs.mount ~config dev))
 
 let test_immediate_roundtrip () =
@@ -273,7 +273,7 @@ let test_immediate_persists_across_mounts () =
   let _clock, dev, server = make_immediate_server () in
   let fh = ok_exn (Nfs.create server) in
   ok_exn (Nfs.write server fh ~off:0 (Bytes.of_string "durable inline"));
-  let config = { Nfs.default_config with Nfs.immediate_files = true } in
+  let config = { Nfs.immediate_files = true } in
   let server2 = Result.get_ok (Nfs.mount ~config dev) in
   check_string "after remount" "durable inline"
     (Bytes.to_string (ok_exn (Nfs.read server2 fh ~off:0 ~len:100)))

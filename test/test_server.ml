@@ -15,6 +15,23 @@ let make () =
   let b = make_bullet () in
   (b.rig, b.server)
 
+let test_boot_mirrored () =
+  let clock = Clock.create () in
+  (* 159 inodes plus the descriptor slot fill five 32-inode blocks
+     exactly, so format rounds nothing up *)
+  let server = Server.boot ~clock ~id:"bt" ~sectors:16_384 ~max_files:159 () in
+  let drives = Mirror.drives (Server.mirror server) in
+  check_string "drives <id>-1 then <id>-2" "bt-1,bt-2" (String.concat "," (List.map Dev.id drives));
+  List.iter
+    (fun d ->
+      check_int "drive size" 16_384 (Dev.geometry d).Amoeba_disk.Geometry.sector_count;
+      check_bool "drive on the given clock" true (Dev.clock d == clock))
+    drives;
+  check_int "no live files" 0 (Server.live_files server);
+  check_int "every inode free" 159 (Server.free_inodes server);
+  let cap = ok_exn (Server.create server (payload 100)) in
+  check_bytes "serves" (payload 100) (ok_exn (Server.read server cap))
+
 let test_create_read_roundtrip () =
   let _rig, server = make () in
   let cap = ok_exn (Server.create server (payload 1000)) in
@@ -396,6 +413,7 @@ let prop_server_model =
 let suite =
   ( "server",
     [
+      Alcotest.test_case "boot formats and starts a mirrored pair" `Quick test_boot_mirrored;
       Alcotest.test_case "create/read roundtrip" `Quick test_create_read_roundtrip;
       Alcotest.test_case "empty file" `Quick test_empty_file;
       Alcotest.test_case "delete removes" `Quick test_delete_removes;

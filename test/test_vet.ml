@@ -138,7 +138,6 @@ let test_tie_unpinned () =
       match Eq.ties () with
       | [ t ] ->
         check_int "time" 5 t.Eq.tie_at;
-        check_int "prio" 0 t.Eq.tie_prio;
         check_string "first site" "a" t.Eq.tie_first;
         check_string "second site" "b" t.Eq.tie_second;
         check_bool "reason mentions pin" true (contains_sub t.Eq.tie_reason "~pin")
@@ -170,13 +169,12 @@ let test_tie_pinned_contradiction () =
       | [ t ] -> check_bool "reason names the pins" true (contains_sub t.Eq.tie_reason "pins 2 then 1")
       | ties -> Alcotest.failf "expected exactly one tie, got %d" (List.length ties))
 
-let test_tie_scoped_to_time_and_prio () =
+let test_tie_scoped_to_time () =
   with_clean_ties (fun () ->
       let q = Eq.create () in
       Eq.push q ~time:5 ();
       Eq.push q ~time:6 ();
-      Eq.push q ~prio:1 ~time:5 ();
-      check_int "different (time, prio) never ties" 0 (List.length (Eq.ties ())))
+      check_int "different times never tie" 0 (List.length (Eq.ties ())))
 
 let test_tie_cleared_by_pop () =
   with_clean_ties (fun () ->
@@ -187,16 +185,16 @@ let test_tie_cleared_by_pop () =
       check_int "popped events no longer collide" 0 (List.length (Eq.ties ())))
 
 let test_tie_ordering_unchanged () =
-  (* the sanitizer is observational: pop order is (time, prio, seq)
-     whether or not pins are supplied, and regardless of the mode *)
+  (* the sanitizer is observational: pop order is (time, seq) whether or
+     not pins are supplied, and regardless of the mode *)
   with_clean_ties (fun () ->
       let q = Eq.create () in
       Eq.push q ~pin:5 ~time:5 "first";
       Eq.push q ~pin:9 ~time:5 "second";
-      Eq.push q ~prio:(-1) ~time:5 "urgent";
+      Eq.push q ~time:5 "unpinned";
       let pops = List.init 3 (fun _ -> Option.map snd (Eq.pop q)) in
-      check_bool "prio then insertion order" true
-        (pops = [ Some "urgent"; Some "first"; Some "second" ]);
+      check_bool "insertion order" true
+        (pops = [ Some "first"; Some "second"; Some "unpinned" ]);
       ignore (Eq.ties ()))
 
 let suite =
@@ -211,14 +209,14 @@ let suite =
       Alcotest.test_case "tie: anonymous sites" `Quick test_tie_unpinned_anonymous;
       Alcotest.test_case "tie: monotone pins pass" `Quick test_tie_pinned_monotone;
       Alcotest.test_case "tie: contradictory pins" `Quick test_tie_pinned_contradiction;
-      Alcotest.test_case "tie: scoped to (time, prio)" `Quick test_tie_scoped_to_time_and_prio;
+      Alcotest.test_case "tie: scoped to time" `Quick test_tie_scoped_to_time;
       Alcotest.test_case "tie: pop clears the collision set" `Quick test_tie_cleared_by_pop;
       Alcotest.test_case "tie: ordering is unchanged by the mode" `Quick test_tie_ordering_unchanged;
     ] )
 
 (* Run last (main.ml places it at the end): every simulation exercised by
    the suites above ran with the sanitizer enabled, and none may have
-   scheduled two same-(time, prio) events without pinning their order. *)
+   scheduled two same-time events without pinning their order. *)
 let global_ties =
   ( "tie-check",
     [

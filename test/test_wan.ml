@@ -3,7 +3,7 @@
 
 open Helpers
 module Fed = Amoeba_wan.Federation
-module Link = Amoeba_wan.Link
+module Link = Amoeba_rpc.Link
 module Clock = Amoeba_sim.Clock
 
 let make () =
