@@ -206,9 +206,6 @@ let dispatch server request =
       | None -> Message.error Status.Bad_request))
   else Message.error Status.Bad_request
 
-(* replies remembered per registration for at-most-once retries *)
-let dedup_capacity = 1024
-
 let serve server transport =
   let on_hit request =
     match Amoeba_rpc.Transport.tracer transport with
@@ -219,7 +216,7 @@ let serve server transport =
       Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Server ~name:"serve.dedup_hit"
         [ ("cmd", Amoeba_trace.Sink.I request.Message.command) ]
   in
-  let handler = Amoeba_rpc.Transport.dedup ~on_hit ~capacity:dedup_capacity (dispatch server) in
+  let handler = Amoeba_rpc.Transport.dedup ~on_hit (dispatch server) in
   let service request =
     match Amoeba_rpc.Transport.tracer transport with
     | None -> handler request

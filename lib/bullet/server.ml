@@ -5,8 +5,10 @@ type config = { cache_bytes : int; max_cached_files : int; alloc_policy : Extent
 let default_config =
   { cache_bytes = 12 * 1024 * 1024; max_cached_files = 4096; alloc_policy = Extent_alloc.First_fit }
 
+(* Per-request server CPU cost: 1.2 ms. *)
 let cpu_request_us = 1_200
 
+(* RAM-to-RAM copy rate of the server CPU: 8 MB/s (16.7 MHz MC68020). *)
 let copy_bytes_per_sec = 8_000_000
 
 type t = {

@@ -27,12 +27,6 @@ val default_config : config
 (** The paper's server: a 16 MB machine leaves ~12 MB of cache; 4096
     rnodes; first-fit. *)
 
-val cpu_request_us : int
-(** Per-request server CPU cost: 1.2 ms. *)
-
-val copy_bytes_per_sec : int
-(** RAM-to-RAM copy rate of the server CPU: 8 MB/s (16.7 MHz MC68020). *)
-
 val format : Amoeba_disk.Mirror.t -> max_files:int -> unit
 (** mkfs: write an empty Bullet image on every replica drive. *)
 

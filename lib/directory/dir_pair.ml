@@ -86,11 +86,8 @@ let dispatch t request =
    loop does: an injected duplicate of a 2PC leg (or a client retry whose
    reply was lost) gets the remembered reply instead of running twice.
    Ordinary directory operations carry xid = 0 and bypass the cache. *)
-let dedup_capacity = 1024
-
 let serve t transport =
-  Amoeba_rpc.Transport.register transport (port t)
-    (Amoeba_rpc.Transport.dedup ~capacity:dedup_capacity (dispatch t))
+  Amoeba_rpc.Transport.register transport (port t) (Amoeba_rpc.Transport.dedup (dispatch t))
 
 (* recursive comparison of the two replicas' name spaces *)
 let primary t = t.primary

@@ -5,8 +5,10 @@ type config = { max_versions : int; lease_us : int }
 
 let default_config = { max_versions = 3; lease_us = 500_000 }
 
+(* Per-request CPU: 1 ms. *)
 let cpu_request_us = 1_000
 
+(* Paranoia factor for directory file writes: 2, both disks. *)
 let p_factor = 2
 
 type binding = { name : string; versions : Cap.t list (* newest first, non-empty *) }

@@ -28,12 +28,6 @@ type config = {
 val default_config : config
 (** 3 versions, 500 ms leases. *)
 
-val cpu_request_us : int
-(** Per-request CPU: 1 ms. *)
-
-val p_factor : int
-(** Paranoia factor for directory file writes: 2, both disks. *)
-
 val create : ?config:config -> ?seed:int64 -> store:Bullet_core.Client.t -> unit -> t
 (** A directory server backed by the given Bullet service. The root
     directory is created immediately. *)

@@ -30,14 +30,19 @@ type config = { cache_bytes : int }
 
 let default_config = { cache_bytes = 4 * 1024 * 1024 }
 
+(* Deadline safety margin against small drift: 10 ms. *)
 let skew_margin_us = 10_000
 
+(* CPU charge for a trusted local check: 50 µs. *)
 let local_verify_us = 50
 
+(* Client RAM copy rate for cache hits: 8 MB/s. *)
 let copy_bytes_per_sec = 8_000_000
 
+(* Send attempts per lease RPC (timeout retries): 4. *)
 let attempts = 4
 
+(* Base backoff between retries, doubling: 50 ms. *)
 let backoff_us = 50_000
 
 type dir_lease = {

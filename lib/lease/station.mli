@@ -20,21 +20,6 @@ type config = { cache_bytes : int  (** client file-cache capacity *) }
 val default_config : config
 (** A 4 MB cache. *)
 
-val skew_margin_us : int
-(** Deadline safety margin against small drift: 10 ms. *)
-
-val local_verify_us : int
-(** CPU charge for a trusted local check: 50 µs. *)
-
-val copy_bytes_per_sec : int
-(** Client RAM copy rate for cache hits: 8 MB/s. *)
-
-val attempts : int
-(** Send attempts per lease RPC (timeout retries): 4. *)
-
-val backoff_us : int
-(** Base backoff between retries, doubling: 50 ms. *)
-
 type t
 
 val create :

@@ -5,8 +5,10 @@ type config = { segment_bytes : int }
 
 let default_config = { segment_bytes = 64 * 1024 }
 
+(* Per-request CPU: 800 µs. *)
 let cpu_request_us = 800
 
+(* Paranoia factor for segment writes: 1. *)
 let p_factor = 1
 
 type log = {

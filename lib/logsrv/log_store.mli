@@ -20,12 +20,6 @@ type config = { segment_bytes : int  (** tail size that triggers a segment seal 
 val default_config : config
 (** 64 KB segments. *)
 
-val cpu_request_us : int
-(** Per-request CPU: 800 µs. *)
-
-val p_factor : int
-(** Paranoia factor for segment writes: 1. *)
-
 val create : ?config:config -> ?seed:int64 -> store:Bullet_core.Client.t -> unit -> t
 
 val port : t -> Amoeba_cap.Port.t

@@ -28,15 +28,6 @@ type config = {
 val default_config : config
 (** SunOS 3.5: no immediate files. *)
 
-val cache_bytes : int
-(** Buffer cache size: 3 MB, as on the paper's server. *)
-
-val cpu_request_us : int
-(** Per-RPC server CPU (SunOS path): 3 ms. *)
-
-val indirect_cpu_us : int
-(** Extra CPU per block-map traversal level: 400 µs. *)
-
 val format : Amoeba_disk.Block_device.t -> max_files:int -> unit
 
 val mount : ?config:config -> Amoeba_disk.Block_device.t -> (t, string) result

@@ -6,7 +6,10 @@ type service = Message.t -> Message.t
    reply instead of executing again. The cache lives with the
    registration, not the server state — a reboot forgets it, which is the
    honest at-most-once window of the real protocol. *)
-let dedup ?on_hit ~capacity service =
+(* replies remembered per registration *)
+let capacity = 1024
+
+let dedup ?on_hit service =
   let replies : (int, Message.t) Hashtbl.t = Hashtbl.create capacity in
   let order = Queue.create () in
   fun request ->

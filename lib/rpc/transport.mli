@@ -20,9 +20,9 @@ type service = Message.t -> Message.t
 (** A request handler. Exceptions escaping a handler become
     [Server_failure] replies. *)
 
-val dedup : ?on_hit:(Message.t -> unit) -> capacity:int -> service -> service
+val dedup : ?on_hit:(Message.t -> unit) -> service -> service
 (** At-most-once execution: wrap a service in a bounded reply cache
-    keyed by {!Message.t.xid} ([capacity] entries, FIFO eviction). A
+    keyed by {!Message.t.xid} (1024 entries, FIFO eviction). A
     retried or duplicated request whose xid is cached gets the remembered
     reply instead of running again, and [on_hit] sees it. Requests with
     [xid = 0] bypass the cache. Each call makes a fresh cache, so a
