@@ -34,19 +34,11 @@ let spark values =
            String.make 1 levels.[i])
          values)
 
-let state_char = function
-  | Health.Healthy -> 'H'
-  | Health.Degraded _ -> 'D'
-  | Health.Overloaded _ -> 'O'
-  | Health.Lease_churning -> 'L'
-  | Health.Txn_stuck _ -> 'T'
-  | Health.Rebalancing _ -> 'R'
-
 (* State at time [at] given the transition edges (oldest first). *)
 let state_at transitions at =
   List.fold_left
     (fun acc (t, st) -> if t <= at then st else acc)
-    Health.Healthy transitions
+    Health.healthy transitions
 
 let render_scenario (s : E.metrics_scenario) =
   Printf.printf "── %s  (scrape every %d ms, %d snapshots)\n" s.E.ms_name
@@ -68,7 +60,9 @@ let render_scenario (s : E.metrics_scenario) =
     String.concat ""
       (List.map
          (fun snap ->
-           String.make 1 (state_char (state_at s.E.ms_transitions snap.Metrics.at_us)))
+           (* the glyph is the rule's initial: H, D, O, L, T, R *)
+           let st = state_at s.E.ms_transitions snap.Metrics.at_us in
+           String.uppercase_ascii (String.sub st.Health.rule 0 1))
          s.E.ms_snapshots)
   in
   Printf.printf "  %-28s %s\n" "health" health_line;

@@ -129,7 +129,6 @@ type unit_info = {
   mutable u_cmd_refs : (string * string list * int) list; (* enclosing fn, ref components, line *)
   mutable u_fns : fn_info list;
   mutable u_spans : string list; (* trace span/event literal names *)
-  mutable u_hooks : string list; (* fault-plan hook labels, on_-prefixed *)
   mutable u_metric_regs : (string * int) list; (* literal metric/prefix name, line *)
 }
 
@@ -147,7 +146,6 @@ let scan_unit ~file ~modname (str : Typedtree.structure) =
       u_cmd_refs = [];
       u_fns = [];
       u_spans = [];
-      u_hooks = [];
       u_metric_regs = [];
     }
   in
@@ -233,13 +231,6 @@ let scan_unit ~file ~modname (str : Typedtree.structure) =
                     | _ -> ())
                   | _ -> ())
                 args
-          | last :: m :: _ when String.equal m "Injector" && String.equal last "attach" ->
-            List.iter
-              (fun (lbl, a) ->
-                match (lbl, a) with
-                | Asttypes.Labelled l, Some _ when starts_with "on_" l -> u.u_hooks <- l :: u.u_hooks
-                | _ -> ())
-              args
           (* metric registrations by literal name: gauges here, Stats
              sources by prefix below *)
           | "gauge" :: _ ->
@@ -708,7 +699,6 @@ type inventory = {
   inv_cmds : (string * string * int) list; (* unit, name, wire value *)
   inv_codecs : (string * string) list; (* unit, name *)
   inv_spans : (string * string) list; (* unit, literal span/event name *)
-  inv_hooks : (string * string) list; (* unit, fault hook label *)
   inv_metrics : (string * string) list; (* unit, literal metric/prefix name *)
 }
 
@@ -731,7 +721,6 @@ let inventory units =
     inv_codecs =
       sort2 (List.concat_map (fun u -> List.map (fun (n, _) -> (u.u_name, n)) u.u_codecs) units);
     inv_spans = sort2 (List.concat_map (fun u -> List.map (fun s -> (u.u_name, s)) u.u_spans) units);
-    inv_hooks = sort2 (List.concat_map (fun u -> List.map (fun h -> (u.u_name, h)) u.u_hooks) units);
     inv_metrics =
       sort2
         (List.concat_map
@@ -821,7 +810,6 @@ let to_json ~passes ~diagnostics inv =
   in
   pair_list "codecs" inv.inv_codecs false;
   pair_list "spans" inv.inv_spans false;
-  pair_list "hooks" inv.inv_hooks false;
   pair_list "metrics" inv.inv_metrics true;
   Buffer.contents b
 

@@ -38,7 +38,6 @@ type inventory = {
   inv_cmds : (string * string * int) list;  (** unit, cmd name, wire value *)
   inv_codecs : (string * string) list;  (** unit, codec name *)
   inv_spans : (string * string) list;  (** unit, literal trace span/event name *)
-  inv_hooks : (string * string) list;  (** unit, fault-plan hook label *)
   inv_metrics : (string * string) list;
       (** unit, literal metric or stats-source prefix name registered with
           a {!Amoeba_metrics.Metrics} registry *)

@@ -126,7 +126,7 @@ let main ~prog argv =
         let typed_passes = List.filter_map Vet.pass_of_name o.passes in
         let typed_result =
           if typed_passes = [] then
-            Ok { Vet.diagnostics = []; inventory = { inv_cmds = []; inv_codecs = []; inv_spans = []; inv_hooks = []; inv_metrics = [] } }
+            Ok { Vet.diagnostics = []; inventory = { inv_cmds = []; inv_codecs = []; inv_spans = []; inv_metrics = [] } }
           else
             match discover_cmts paths with
             | [] ->

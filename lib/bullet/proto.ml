@@ -109,57 +109,48 @@ let encode_status server = Amoeba_metrics.Metrics.encode_snapshot (status_snapsh
 
 let decode_status body = Amoeba_metrics.Metrics.decode_snapshot body
 
-let reply_of_result ~encode = function
-  | Ok v -> encode v
-  | Error status -> Message.error status
-
 let reply_cap cap = Message.reply ~status:Status.Ok ~cap ()
-
-let with_cap request k =
-  match request.Message.cap with
-  | None -> Message.error Status.Bad_request
-  | Some cap -> k cap
 
 let dispatch server request =
   let command = request.Message.command in
   if command = cmd_create then
     let p_factor = request.Message.arg0 in
-    reply_of_result ~encode:reply_cap (Server.create server ~p_factor request.Message.body)
+    Message.reply_of_result ~encode:reply_cap (Server.create server ~p_factor request.Message.body)
   else if command = cmd_size then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun n -> Message.reply ~status:Status.Ok ~arg0:n ())
           (Server.size server cap))
   else if command = cmd_read then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun body -> Message.reply ~status:Status.Ok ~body ())
           (Server.read server cap))
   else if command = cmd_delete then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun () -> Message.reply ~status:Status.Ok ())
           (Server.delete server cap))
   else if command = cmd_read_range then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun body -> Message.reply ~status:Status.Ok ~body ())
           (Server.read_range server cap ~pos:request.Message.arg0 ~len:request.Message.arg1))
   else if command = cmd_modify then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:reply_cap
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:reply_cap
           (Server.modify server ~p_factor:request.Message.arg0 cap ~pos:request.Message.arg1 request.Message.body))
   else if command = cmd_append then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:reply_cap
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:reply_cap
           (Server.append server ~p_factor:request.Message.arg0 cap request.Message.body))
   else if command = cmd_truncate then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:reply_cap
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:reply_cap
           (Server.truncate server ~p_factor:request.Message.arg0 cap request.Message.arg1))
   else if command = cmd_restrict then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:reply_cap
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:reply_cap
           (Server.restrict server cap (Amoeba_cap.Rights.of_int request.Message.arg0)))
   else if command = cmd_stat then
     Message.reply ~status:Status.Ok ~body:(encode_stat server) ()
@@ -173,10 +164,11 @@ let dispatch server request =
     let txn = request.Message.arg0 in
     (match decode_txn_kind request.Message.arg1 with
     | Some Server.Txn_create ->
-      reply_of_result ~encode:reply_cap (Server.txn_prepare_create server ~txn request.Message.body)
+      Message.reply_of_result ~encode:reply_cap
+        (Server.txn_prepare_create server ~txn request.Message.body)
     | Some Server.Txn_delete ->
-      with_cap request (fun cap ->
-          reply_of_result
+      Message.with_cap request (fun cap ->
+          Message.reply_of_result
             ~encode:(fun () -> Message.reply ~status:Status.Ok ())
             (Server.txn_prepare_delete server ~txn cap))
     | None -> Message.error Status.Bad_request)
@@ -184,8 +176,8 @@ let dispatch server request =
     let txn = request.Message.arg0 in
     (match decode_txn_kind request.Message.arg1 with
     | Some kind ->
-      with_cap request (fun cap ->
-          reply_of_result
+      Message.with_cap request (fun cap ->
+          Message.reply_of_result
             ~encode:(fun () -> Message.reply ~status:Status.Ok ())
             (Server.txn_commit server ~txn ~kind cap))
     | None -> Message.error Status.Bad_request)
@@ -194,13 +186,13 @@ let dispatch server request =
     (match request.Message.cap with
     | None ->
       (* no capability: presumed abort of the whole transaction *)
-      reply_of_result
+      Message.reply_of_result
         ~encode:(fun () -> Message.reply ~status:Status.Ok ())
         (Server.txn_abort_all server ~txn)
     | Some cap -> (
       match decode_txn_kind request.Message.arg1 with
       | Some kind ->
-        reply_of_result
+        Message.reply_of_result
           ~encode:(fun () -> Message.reply ~status:Status.Ok ())
           (Server.txn_abort server ~txn ~kind cap)
       | None -> Message.error Status.Bad_request))

@@ -155,7 +155,7 @@ val rebalancing : t -> bool
 
 val shards_remaining : t -> int
 (** Dirty shards — the rebalance backlog, and the payload of the
-    [Rebalancing] health state. *)
+    [rebalancing] health state. *)
 
 val under_replicated : t -> string list
 (** Keys with fewer live replicas than [min replicas (live servers)],
@@ -190,7 +190,7 @@ val register_metrics : t -> Amoeba_metrics.Metrics.t -> unit
     [cluster.under_replicated], [cluster.migrations_active],
     [cluster.shards_remaining] and [cluster.servers_live] gauges plus
     every {!stats} counter under the [cluster.] prefix. The
-    [cluster.shards_remaining] gauge is what drives the [Rebalancing]
+    [cluster.shards_remaining] gauge is what drives the [rebalancing]
     health state. *)
 
 val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit

@@ -116,15 +116,6 @@ let decode_txn_intent body =
     | '\002' -> Some (Dir_server.Txn_remove, tail 1)
     | _ -> None
 
-let reply_of_result ~encode = function
-  | Ok v -> encode v
-  | Error status -> Message.error status
-
-let with_cap request k =
-  match request.Message.cap with
-  | None -> Message.error Status.Bad_request
-  | Some cap -> k cap
-
 let name_of request = Bytes.to_string request.Message.body
 
 let dispatch server request =
@@ -133,83 +124,84 @@ let dispatch server request =
   if command = cmd_make_dir then Message.reply ~status:Status.Ok ~cap:(Dir_server.make_dir server) ()
   else if command = cmd_get_root then Message.reply ~status:Status.Ok ~cap:(Dir_server.root server) ()
   else if command = cmd_lookup then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun found -> Message.reply ~status:Status.Ok ~cap:found ())
           (Dir_server.lookup server cap (name_of request)))
   else if command = cmd_enter then
-    with_cap request (fun cap ->
+    Message.with_cap request (fun cap ->
         match decode_named_cap request.Message.body with
         | None -> Message.error Status.Bad_request
         | Some (target, name) ->
-          reply_of_result ~encode:ok_unit (Dir_server.enter server cap name target))
+          Message.reply_of_result ~encode:ok_unit (Dir_server.enter server cap name target))
   else if command = cmd_replace then
-    with_cap request (fun cap ->
+    Message.with_cap request (fun cap ->
         match decode_named_cap request.Message.body with
         | None -> Message.error Status.Bad_request
         | Some (target, name) ->
-          reply_of_result
+          Message.reply_of_result
             ~encode:(fun previous ->
               match previous with
               | Some old -> Message.reply ~status:Status.Ok ~arg0:1 ~cap:old ()
               | None -> Message.reply ~status:Status.Ok ~arg0:0 ())
             (Dir_server.replace server cap name target))
   else if command = cmd_remove_name then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:ok_unit (Dir_server.remove_name server cap (name_of request)))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_unit
+          (Dir_server.remove_name server cap (name_of request)))
   else if command = cmd_list then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun rows -> Message.reply ~status:Status.Ok ~body:(encode_listing rows) ())
           (Dir_server.list server cap))
   else if command = cmd_delete_dir then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:ok_unit (Dir_server.delete_dir server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_unit (Dir_server.delete_dir server cap))
   else if command = cmd_versions then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun caps -> Message.reply ~status:Status.Ok ~body:(encode_caps caps) ())
           (Dir_server.versions server cap (name_of request)))
   else if command = cmd_restrict then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun narrowed -> Message.reply ~status:Status.Ok ~cap:narrowed ())
           (Dir_server.restrict server cap (Amoeba_cap.Rights.of_int request.Message.arg0)))
   else if command = cmd_resolve then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun found -> Message.reply ~status:Status.Ok ~cap:found ())
           (Dir_server.resolve server cap (name_of request)))
   else if command = cmd_lookup_lease then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun (found, epoch, lease_us) ->
             Message.reply ~status:Status.Ok ~cap:found ~arg0:epoch ~arg1:lease_us ())
           (Dir_server.lookup_lease server cap (name_of request)))
   else if command = cmd_renew_lease then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun (epoch, lease_us) ->
             Message.reply ~status:Status.Ok ~arg0:epoch ~arg1:lease_us ())
           (Dir_server.renew_lease server cap))
   else if command = cmd_txn_prepare then
-    with_cap request (fun cap ->
+    Message.with_cap request (fun cap ->
         match decode_txn_intent request.Message.body with
         | None -> Message.error Status.Bad_request
         | Some (op, name) ->
-          reply_of_result ~encode:ok_unit
+          Message.reply_of_result ~encode:ok_unit
             (Dir_server.txn_prepare server ~txn:request.Message.arg0 cap name op))
   else if command = cmd_txn_commit then
-    with_cap request (fun cap ->
+    Message.with_cap request (fun cap ->
         match decode_txn_intent request.Message.body with
         | None -> Message.error Status.Bad_request
         | Some (op, name) ->
-          reply_of_result ~encode:ok_unit
+          Message.reply_of_result ~encode:ok_unit
             (Dir_server.txn_commit server ~txn:request.Message.arg0 cap name op))
   else if command = cmd_txn_abort then
-    reply_of_result ~encode:ok_unit (Dir_server.txn_abort server ~txn:request.Message.arg0)
+    Message.reply_of_result ~encode:ok_unit (Dir_server.txn_abort server ~txn:request.Message.arg0)
   else if command = cmd_checkpoint then
-    reply_of_result
+    Message.reply_of_result
       ~encode:(fun cap -> Message.reply ~status:Status.Ok ~cap ())
       (Dir_server.checkpoint server)
   else Message.error Status.Bad_request

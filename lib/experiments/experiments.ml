@@ -1046,16 +1046,17 @@ let crash_recovery () =
     |> fun p -> Plan.at p ~us:crash_at Plan.Server_crash
     |> fun p -> Plan.at p ~us:reboot_at Plan.Server_reboot
   in
-  let on_crash () =
-    Transport.unregister transport port;
-    Server.crash !server
+  let act : Plan.event -> unit = function
+    | Server_crash ->
+      Transport.unregister transport port;
+      Server.crash !server
+    | Server_reboot ->
+      let booted, _ = Result.get_ok (Server.start ~config ~seed mirror) in
+      server := booted;
+      Bullet_core.Proto.serve booted transport
+    | _ -> ()
   in
-  let on_reboot () =
-    let booted, _ = Result.get_ok (Server.start ~config ~seed mirror) in
-    server := booted;
-    Bullet_core.Proto.serve booted transport
-  in
-  let injector = Injector.attach ~transport ~mirror ~on_crash ~on_reboot ~clock plan in
+  let injector = Injector.attach ~transport ~mirror ~act ~clock plan in
   let ops = ref 0 and failed = ref 0 and i = ref 0 in
   while Clock.now clock < run_until do
     (try ignore (Client.read client files.(!i mod Array.length files))
@@ -1087,6 +1088,13 @@ module Link = Amoeba_rpc.Link
 module Federation = Amoeba_wan.Federation
 module Dir_client = Amoeba_dir.Dir_client
 module Pair = Amoeba_dir.Dir_pair
+
+(* The fault plan's crash and reboot, acted out on a directory pair: the
+   primary replica fails and later heals from the surviving checkpoint. *)
+let pair_act pair : Plan.event -> unit = function
+  | Server_crash -> Pair.fail_primary pair
+  | Server_reboot -> Pair.heal_primary pair
+  | _ -> ()
 
 (* A fresh mirrored Bullet server on testbed drives, served on
    [transport], and a client bound to it: one store of a directory
@@ -1355,12 +1363,7 @@ let dir_pair_recovery () =
     |> fun p -> Plan.at p ~us:crash_at Plan.Server_crash
     |> fun p -> Plan.at p ~us:heal_at Plan.Server_reboot
   in
-  let injector =
-    Injector.attach ~transport
-      ~on_crash:(fun () -> Pair.fail_primary pair)
-      ~on_reboot:(fun () -> Pair.heal_primary pair)
-      ~clock plan
-  in
+  let injector = Injector.attach ~transport ~act:(pair_act pair) ~clock plan in
   let ops = ref 0 and failed = ref 0 and outage_ops = ref 0 in
   let i = ref 0 in
   while Clock.now clock < run_until do
@@ -1784,6 +1787,11 @@ module Station = Amoeba_lease.Station
 module Cap = Amoeba_cap.Capability
 module Sealer = Amoeba_cap.Sealer
 
+(* The fault plan's lease-clock skew, applied to one station. *)
+let skew_act station : Plan.event -> unit = function
+  | Lease_clock_skew us -> Station.set_skew station us
+  | _ -> ()
+
 (* One transport, three Bullet servers (file storage plus the two
    directory-pair stores), the replicated directory pair on top.  This is
    the full stack a leased station talks to: names and leases from the
@@ -1924,9 +1932,7 @@ let lease_fault_primary_crash () =
     |> fun p -> Plan.at p ~us:heal_at Plan.Server_reboot
   in
   let injector =
-    Injector.attach ~transport:rig.lz_transport
-      ~on_crash:(fun () -> Pair.fail_primary rig.lz_pair)
-      ~on_reboot:(fun () -> Pair.heal_primary rig.lz_pair)
+    Injector.attach ~transport:rig.lz_transport ~act:(pair_act rig.lz_pair)
       ~clock:rig.lz_clock plan
   in
   let mutate () =
@@ -2026,8 +2032,8 @@ let lease_fault_clock_skew () =
   in
   let plan = match Plan.parse plan_text with Ok p -> p | Error e -> failwith e in
   let injector =
-    Injector.attach ~transport:rig.lz_transport ~on_lease_skew:(Station.set_skew station)
-      ~clock:rig.lz_clock plan
+    Injector.attach ~transport:rig.lz_transport ~act:(skew_act station) ~clock:rig.lz_clock
+      plan
   in
   let mutate () =
     Dir_client.remove_name rig.lz_dirs rig.lz_root "f";
@@ -2304,14 +2310,38 @@ type metrics_report = {
   mx_roundtrip_ok : bool;  (** encode -> decode -> encode is byte-identical *)
 }
 
-let scenario_of ~name ~interval_us ~scraper ~health ~slo =
+(* One scrape loop: a scraper over a registry, with the health
+   evaluator and the SLO alerts folding every snapshot it takes. *)
+type watch = {
+  scraper : Metrics.Scraper.t;
+  w_interval_us : int;
+  health : Health.t;
+  slo : Health.Slo.t;
+}
+
+let watch ~registry ~clock ~interval_us ~capacity alerts =
+  {
+    scraper = Metrics.Scraper.create ~registry ~clock ~interval_us ~capacity;
+    w_interval_us = interval_us;
+    health = Health.create ();
+    slo = Health.Slo.create alerts;
+  }
+
+let poll w =
+  match Metrics.Scraper.poll w.scraper with
+  | None -> ()
+  | Some snap ->
+    ignore (Health.observe w.health snap);
+    Health.Slo.observe w.slo snap
+
+let scenario_of ~name w =
   {
     ms_name = name;
-    ms_interval_us = interval_us;
-    ms_snapshots = Metrics.Ring.snapshots (Metrics.Scraper.ring scraper);
-    ms_transitions = Health.transitions health;
-    ms_alerts = Health.Slo.transitions slo;
-    ms_final = Health.state health;
+    ms_interval_us = w.w_interval_us;
+    ms_snapshots = Metrics.Ring.snapshots (Metrics.Scraper.ring w.scraper);
+    ms_transitions = Health.transitions w.health;
+    ms_alerts = Health.Slo.transitions w.slo;
+    ms_final = Health.state w.health;
   }
 
 (* Scenario 1: the resync story as the health layer sees it.  A drive
@@ -2319,7 +2349,7 @@ let scenario_of ~name ~interval_us ~scraper ~health ~slo =
    (with a trickle of creates exercising the degraded write path) keeps
    running.  The server's own registry carries the mirror
    gauges, so the scraper reads exactly what STD_STATUS serves; the
-   transition sequence must be Healthy -> Degraded -> Healthy with no
+   transition sequence must be healthy -> degraded -> healthy with no
    flapping while the resync drains. *)
 let metrics_drive_rejoin () =
   let interval_us = 500_000 in
@@ -2337,7 +2367,7 @@ let metrics_drive_rejoin () =
         Client.create client ~p_factor:2 (Bytes.make 32_768 (Char.chr (65 + i))))
   in
   Clock.reset clock;
-  (* the Degraded entry payload is the prospective backlog: a rejoining
+  (* the degraded entry value is the prospective backlog: a rejoining
      drive starts fully dirty, so the gauge reports the offline drive's
      whole capacity until the resync cursor takes over *)
   let fail_at = 2_150_000 and rejoin_at = 4_000_000 and run_until = 16_000_000 in
@@ -2350,10 +2380,8 @@ let metrics_drive_rejoin () =
   let reg = Server.metrics server in
   Transport.register_metrics transport reg;
   Injector.register_metrics injector reg;
-  let scraper = Metrics.Scraper.create ~registry:reg ~clock ~interval_us ~capacity:64 in
-  let health = Health.create () in
-  let slo =
-    Health.Slo.create
+  let w =
+    watch ~registry:reg ~clock ~interval_us ~capacity:64
       [
         {
           (* this workload is disk-bound from the first cold read: the
@@ -2386,11 +2414,7 @@ let metrics_drive_rejoin () =
     incr i;
     Clock.advance clock 10_000;
     Injector.poll injector;
-    match Metrics.Scraper.poll scraper with
-    | None -> ()
-    | Some snap ->
-      ignore (Health.observe health snap);
-      Health.Slo.observe slo snap
+    poll w
   done;
   Injector.detach injector;
   (* the STD_STATUS surface, exercised off the same live registry *)
@@ -2405,12 +2429,12 @@ let metrics_drive_rejoin () =
     | Error _ -> 0
     | Ok snap -> List.length snap.Metrics.samples
   in
-  ( scenario_of ~name:"drive-rejoin" ~interval_us ~scraper ~health ~slo,
+  ( scenario_of ~name:"drive-rejoin" w,
     (n_samples, Bytes.length status, roundtrip),
     Mirror.sync_state mirror = Mirror.Clean )
 
 (* Scenario 2: an overload storm through the scheduler.  Twice-saturated
-   shedding admission: the health layer must call it Overloaded from the
+   shedding admission: the health layer must call it overloaded from the
    interval shed rate, the p99 SLO must burn through its window, and the
    goodput floor must fire when the storm drains and per-interval
    completions collapse. *)
@@ -2418,10 +2442,8 @@ let metrics_overload_storm () =
   let interval_us = 100_000 in
   let mclock = Clock.create () in
   let reg = Metrics.create "storm" in
-  let scraper = Metrics.Scraper.create ~registry:reg ~clock:mclock ~interval_us ~capacity:128 in
-  let health = Health.create () in
-  let slo =
-    Health.Slo.create
+  let w =
+    watch ~registry:reg ~clock:mclock ~interval_us ~capacity:128
       [
         {
           Health.Slo.al_name = "response-p99";
@@ -2450,11 +2472,7 @@ let metrics_overload_storm () =
   in
   let observer at =
     if at > Clock.now mclock then Clock.advance_to mclock at;
-    match Metrics.Scraper.poll scraper with
-    | None -> ()
-    | Some snap ->
-      ignore (Health.observe health snap);
-      Health.Slo.observe slo snap
+    poll w
   in
   let retry = Backoff.policy ~attempts:3 ~timeout_us:500_000 ~backoff_us:20_000 in
   let config =
@@ -2472,13 +2490,13 @@ let metrics_overload_storm () =
     }
   in
   let report = Sched.run ~metrics:reg ~observer config in
-  (scenario_of ~name:"overload-storm" ~interval_us ~scraper ~health ~slo, report)
+  (scenario_of ~name:"overload-storm" w, report)
 
 (* Scenario 3: lease churn under scripted clock skew.  A station reads a
    hot binding under short leases; the plan DSL jumps its lease clock
    forward (every read now renews) and then steps it backwards (drop all
    leases, re-grant).  The churn counter spikes and the evaluator must
-   call it Lease_churning — never Degraded or Overloaded, which is what
+   call it lease_churning — never degraded or overloaded, which is what
    separates the three fault signatures. *)
 let metrics_lease_skew () =
   let interval_us = 200_000 in
@@ -2492,15 +2510,11 @@ let metrics_lease_skew () =
   Dir_client.enter rig.lz_dirs rig.lz_root "hot" cap;
   ignore (Station.read station ~dir:rig.lz_root "hot");
   let start = Clock.now rig.lz_clock in
-  let scraper =
-    Metrics.Scraper.create ~registry:reg ~clock:rig.lz_clock ~interval_us ~capacity:64
-  in
-  (* the default threshold (3 events per interval) sits above the normal
+  (* the churn threshold (3 events per interval) sits above the normal
      renewal cadence — one expiry + grant per lease horizon — so only
      the skew phases read as churn *)
-  let health = Health.create () in
-  let slo =
-    Health.Slo.create
+  let w =
+    watch ~registry:reg ~clock:rig.lz_clock ~interval_us ~capacity:64
       [
         {
           (* the skew must cost lease traffic, not reads: the station
@@ -2520,21 +2534,17 @@ let metrics_lease_skew () =
   in
   let plan = match Plan.parse plan_text with Ok p -> p | Error e -> failwith e in
   let injector =
-    Injector.attach ~transport:rig.lz_transport ~on_lease_skew:(Station.set_skew station)
-      ~clock:rig.lz_clock plan
+    Injector.attach ~transport:rig.lz_transport ~act:(skew_act station) ~clock:rig.lz_clock
+      plan
   in
   while Clock.now rig.lz_clock < start + 2_400_000 do
     Injector.poll injector;
     (try ignore (Station.read station ~dir:rig.lz_root "hot") with Status.Error _ -> ());
-    (match Metrics.Scraper.poll scraper with
-    | None -> ()
-    | Some snap ->
-      ignore (Health.observe health snap);
-      Health.Slo.observe slo snap);
+    poll w;
     Clock.advance rig.lz_clock 60_000
   done;
   Injector.detach injector;
-  scenario_of ~name:"lease-skew" ~interval_us ~scraper ~health ~slo
+  scenario_of ~name:"lease-skew" w
 
 (* The acceptance checks live in the experiment so every bench or CI run
    enforces the exact transition shapes, not just the test suite. *)
@@ -2547,10 +2557,11 @@ let assert_metrics_invariants r =
   let fired s name = List.exists (fun (_, n, f) -> f && String.equal n name) s.ms_alerts in
   let rejoin = find "drive-rejoin" in
   (match kinds rejoin with
-  | [ Health.Healthy; Health.Degraded { resync_backlog }; Health.Healthy ] ->
+  | [ { Health.rule = "healthy"; _ }; { rule = "degraded"; value = Some resync_backlog };
+      { rule = "healthy"; _ } ] ->
     check "drive-rejoin backlog positive at entry" (resync_backlog > 0)
   | _ -> check "drive-rejoin transitions are healthy -> degraded -> healthy" false);
-  check "drive-rejoin ends healthy" (rejoin.ms_final = Health.Healthy);
+  check "drive-rejoin ends healthy" (rejoin.ms_final = Health.healthy);
   check "drive-rejoin read-p99 alert fired" (fired rejoin "read-p99");
   check "drive-rejoin resync-backlog alert fired" (fired rejoin "resync-backlog");
   check "drive-rejoin resync-backlog alert cleared"
@@ -2560,19 +2571,17 @@ let assert_metrics_invariants r =
   check "drive-rejoin scraped through the run" (List.length rejoin.ms_snapshots >= 20);
   let storm = find "overload-storm" in
   (match kinds storm with
-  | Health.Healthy :: Health.Overloaded { shed_rate } :: rest ->
+  | { Health.rule = "healthy"; _ } :: { rule = "overloaded"; value = Some shed_rate } :: rest ->
     check "overload-storm shed rate positive" (shed_rate > 0);
     check "overload-storm never leaves overloaded except to healthy"
-      (List.for_all (fun st -> st = Health.Healthy) rest)
+      (List.for_all (fun st -> st = Health.healthy) rest)
   | _ -> check "overload-storm transitions enter overloaded" false);
   check "overload-storm shed-budget alert fired" (fired storm "shed-budget");
   check "overload-storm response-p99 alert fired" (fired storm "response-p99");
   check "overload-storm goodput-floor alert fired" (fired storm "goodput-floor");
   let skew = find "lease-skew" in
   check "lease-skew transitions are healthy -> lease_churning -> healthy"
-    (match kinds skew with
-    | [ Health.Healthy; Health.Lease_churning; Health.Healthy ] -> true
-    | _ -> false);
+    (List.map Health.state_label (kinds skew) = [ "healthy"; "lease_churning"; "healthy" ]);
   check "lease-skew hit-floor stays quiet" (skew.ms_alerts = []);
   check "status snapshot roundtrip is byte-identical" r.mx_roundtrip_ok;
   check "status snapshot carries the whole registry" (r.mx_status_metrics >= 20)
@@ -2592,31 +2601,30 @@ let metrics_experiment () =
   assert_metrics_invariants report;
   report
 
+(* One scenario's snapshots, transitions and alert edges, as text. *)
+let scenario_dump buf s =
+  Buffer.add_string buf
+    (Printf.sprintf "== scenario %s interval_us %d\n" s.ms_name s.ms_interval_us);
+  List.iter (fun snap -> Buffer.add_string buf (Metrics.to_text snap)) s.ms_snapshots;
+  Buffer.add_string buf "-- transitions\n";
+  List.iter
+    (fun (at, st) -> Buffer.add_string buf (Printf.sprintf "%d %s\n" at (Health.state_label st)))
+    s.ms_transitions;
+  Buffer.add_string buf "-- alerts\n";
+  List.iter
+    (fun (at, name, firing) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d %s %s\n" at name (if firing then "fire" else "clear")))
+    s.ms_alerts;
+  Buffer.add_string buf (Printf.sprintf "-- final %s\n" (Health.state_label s.ms_final))
+
 (* Deterministic text dump of the whole run — every snapshot, every
    transition, every alert edge.  The CI double-run diffs it byte for
    byte, and [bullet_top --replay] renders the same data as a
    dashboard. *)
 let metrics_dump r =
   let buf = Buffer.create 65_536 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "== scenario %s interval_us %d\n" s.ms_name s.ms_interval_us);
-      List.iter (fun snap -> Buffer.add_string buf (Metrics.to_text snap)) s.ms_snapshots;
-      Buffer.add_string buf "-- transitions\n";
-      List.iter
-        (fun (at, st) ->
-          Buffer.add_string buf (Printf.sprintf "%d %s\n" at (Health.state_label st)))
-        s.ms_transitions;
-      Buffer.add_string buf "-- alerts\n";
-      List.iter
-        (fun (at, name, firing) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d %s %s\n" at name (if firing then "fire" else "clear")))
-        s.ms_alerts;
-      Buffer.add_string buf
-        (Printf.sprintf "-- final %s\n" (Health.state_label s.ms_final)))
-    r.mx_scenarios;
+  List.iter (scenario_dump buf) r.mx_scenarios;
   Buffer.add_string buf
     (Printf.sprintf "status metrics %d bytes %d roundtrip %b\n" r.mx_status_metrics
        r.mx_status_bytes r.mx_roundtrip_ok);
@@ -2837,10 +2845,10 @@ let txn_run_case (plan_name, directive, which, expected, _expected_doubt) =
      edge kills the directory pair's primary replica instead *)
   let injector =
     Injector.attach ~transport:rig.tx_transport
-      ~on_txn_crash:(fun edge ->
-        match edge with
-        | Plan.Participant_after_prepare -> Pair.fail_primary rig.tx_pair_a
-        | edge -> raise (Txn.Crashed edge))
+      ~act:(function
+        | Plan.Txn_crash Participant_after_prepare -> Pair.fail_primary rig.tx_pair_a
+        | Plan.Txn_crash edge -> raise (Txn.Crashed edge)
+        | _ -> ())
       ~clock:rig.tx_clock plan
   in
   let txn =
@@ -2912,8 +2920,8 @@ let txn_quiet_run () =
    stays dead.  The [txn.in_doubt] gauge (mounted on the file server's
    registry, so STD_STATUS serves it) reads 1; one scrape of doubt is a
    decision leg in flight, two consecutive flips the health state to
-   Txn_stuck; recovery drains the gauge and hysteresis walks the state
-   back to Healthy. *)
+   txn_stuck; recovery drains the gauge and hysteresis walks the state
+   back to healthy. *)
 let txn_health_story () =
   let rig = make_txn_rig () in
   let plan =
@@ -2923,7 +2931,7 @@ let txn_health_story () =
   in
   let injector =
     Injector.attach ~transport:rig.tx_transport
-      ~on_txn_crash:(fun edge -> raise (Txn.Crashed edge))
+      ~act:(function Plan.Txn_crash edge -> raise (Txn.Crashed edge) | _ -> ())
       ~clock:rig.tx_clock plan
   in
   let registry = Server.metrics rig.tx_files in
@@ -2939,20 +2947,15 @@ let txn_health_story () =
   | Some _ -> failwith "txn health story: the armed crash did not fire");
   Injector.detach injector;
   let interval_us = 500_000 in
-  let scraper =
-    Metrics.Scraper.create ~registry ~clock:rig.tx_clock ~interval_us ~capacity:32
-  in
-  let health = Health.create () in
+  let w = watch ~registry ~clock:rig.tx_clock ~interval_us ~capacity:32 [] in
   let scrape n =
     for _ = 1 to n do
       Clock.advance rig.tx_clock interval_us;
-      match Metrics.Scraper.poll scraper with
-      | Some snap -> ignore (Health.observe health snap)
-      | None -> ()
+      poll w
     done
   in
   scrape 3;
-  let stuck = Health.state health in
+  let stuck = Health.state w.health in
   let (_ : Txn.recovery) = Txn.recover txn in
   scrape 3;
   let status = Bullet_core.Proto.encode_status rig.tx_files in
@@ -2966,7 +2969,7 @@ let txn_health_story () =
       && Option.is_some (Metrics.find snap "txn.prepared")
   in
   let transitions =
-    List.map (fun (at, st) -> (at, Health.state_label st)) (Health.transitions health)
+    List.map (fun (at, st) -> (at, Health.state_label st)) (Health.transitions w.health)
   in
   (transitions, Health.state_label stuck, has_gauges)
 
@@ -3123,10 +3126,8 @@ let cluster_run () =
   let reg = Server.metrics (Cluster.server c "ant") in
   Cluster.register_metrics c reg;
   let interval_us = 500_000 in
-  let scraper = Metrics.Scraper.create ~registry:reg ~clock ~interval_us ~capacity:192 in
-  let health = Health.create () in
-  let slo =
-    Health.Slo.create
+  let w =
+    watch ~registry:reg ~clock ~interval_us ~capacity:192
       [
         {
           (* migration must not starve foreground traffic: at least one
@@ -3147,9 +3148,11 @@ let cluster_run () =
   let kill_mid = ref false in
   let injector =
     Injector.attach ~transport:(Cluster.transport c)
-      ~on_shard_kill:(fun name ->
-        kill_mid := Cluster.rebalancing c;
-        Cluster.kill_server c name)
+      ~act:(function
+        | Plan.Shard_kill name ->
+          kill_mid := Cluster.rebalancing c;
+          Cluster.kill_server c name
+        | _ -> ())
       ~clock plan
   in
   let shard_moved ~before ~after i =
@@ -3190,11 +3193,7 @@ let cluster_run () =
     read key;
     ignore (Cluster.rebalance_step c);
     under_peak := max !under_peak (List.length (Cluster.under_replicated c));
-    (match Metrics.Scraper.poll scraper with
-    | None -> ()
-    | Some snap ->
-      ignore (Health.observe health snap);
-      Health.Slo.observe slo snap);
+    poll w;
     Clock.advance clock 10_000
   in
   while Cluster.rebalancing c || Injector.pending injector > 0 do
@@ -3252,7 +3251,7 @@ let cluster_run () =
   in
   let st = Cluster.stats c in
   {
-    cl_scenario = scenario_of ~name:"cluster-rebalance" ~interval_us ~scraper ~health ~slo;
+    cl_scenario = scenario_of ~name:"cluster-rebalance" w;
     cl_objects = Cluster.objects_total c;
     cl_live_servers = List.length (Cluster.live_servers c);
     cl_join_delta = join_delta;
@@ -3296,10 +3295,11 @@ let assert_cluster_invariants r =
   check "all objects survive" (r.cl_objects = List.length cluster_keys);
   check "four servers remain live" (r.cl_live_servers = 4);
   (match List.map snd r.cl_scenario.ms_transitions with
-  | [ Health.Healthy; Health.Rebalancing { shards_remaining }; Health.Healthy ] ->
+  | [ { Health.rule = "healthy"; _ }; { rule = "rebalancing"; value = Some shards_remaining };
+      { rule = "healthy"; _ } ] ->
     check "rebalancing backlog positive at entry" (shards_remaining > 0)
   | _ -> check "transitions are healthy -> rebalancing -> healthy" false);
-  check "ends healthy" (r.cl_scenario.ms_final = Health.Healthy);
+  check "ends healthy" (r.cl_scenario.ms_final = Health.healthy);
   check "route floor stays quiet" (r.cl_scenario.ms_alerts = []);
   check "checkpoint parses back" r.cl_checkpoint_parses;
   check "double run byte-identical" r.cl_double_run_identical;
@@ -3322,22 +3322,7 @@ let cluster_experiment () =
    The CI double-run diffs it byte for byte. *)
 let cluster_dump r =
   let buf = Buffer.create 65_536 in
-  let s = r.cl_scenario in
-  Buffer.add_string buf
-    (Printf.sprintf "== scenario %s interval_us %d\n" s.ms_name s.ms_interval_us);
-  List.iter (fun snap -> Buffer.add_string buf (Metrics.to_text snap)) s.ms_snapshots;
-  Buffer.add_string buf "-- transitions\n";
-  List.iter
-    (fun (at, st) ->
-      Buffer.add_string buf (Printf.sprintf "%d %s\n" at (Health.state_label st)))
-    s.ms_transitions;
-  Buffer.add_string buf "-- alerts\n";
-  List.iter
-    (fun (at, name, firing) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %s %s\n" at name (if firing then "fire" else "clear")))
-    s.ms_alerts;
-  Buffer.add_string buf (Printf.sprintf "-- final %s\n" (Health.state_label s.ms_final));
+  scenario_dump buf r.cl_scenario;
   let lo, hi = r.cl_spread in
   Buffer.add_string buf
     (Printf.sprintf

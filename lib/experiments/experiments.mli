@@ -519,15 +519,15 @@ val metrics_experiment : unit -> metrics_report
 
     - {b drive-rejoin}: a mirror drive fails at 2 s and rejoins fully
       dirty at 4 s under a read-plus-create workload.  The transition
-      sequence must be exactly Healthy -> Degraded (positive backlog) ->
-      Healthy, and the p99 read-latency SLO must burn through its window
+      sequence must be exactly healthy -> degraded (positive backlog) ->
+      healthy, and the p99 read-latency SLO must burn through its window
       while the resync drains.
     - {b overload-storm}: a twice-saturated shedding scheduler.  The
-      interval shed rate must flip the state to Overloaded, and the
+      interval shed rate must flip the state to overloaded, and the
       response-p99, goodput-floor and shed-budget alerts must all fire.
     - {b lease-skew}: the lease clock jumps forward then steps back
-      under the plan DSL.  The churn counter must read Lease_churning —
-      never Degraded or Overloaded — and the warm-hit SLO stays quiet.
+      under the plan DSL.  The churn counter must read lease_churning —
+      never degraded or overloaded — and the warm-hit SLO stays quiet.
 
     Also exercises the STD_STATUS surface off the drive-rejoin server:
     the binary snapshot must decode and re-encode byte-identically.
@@ -590,8 +590,8 @@ val txn_experiment : unit -> txn_report
     replica dumps byte-identical, and a second recovery pass finding
     nothing.  A separate stuck-coordinator run asserts the metrics
     surface: the [txn.in_doubt] gauge flips the health state to
-    [Txn_stuck] after two doubtful scrapes and hysteresis walks it back
-    to Healthy once recovery drains the WAL.  Raises [Failure] if any
+    [txn_stuck] after two doubtful scrapes and hysteresis walks it back
+    to healthy once recovery drains the WAL.  Raises [Failure] if any
     invariant is violated. *)
 
 val txn_dump : txn_report -> string
@@ -602,7 +602,7 @@ val txn_dump : txn_report -> string
 
 type cluster_report = {
   cl_scenario : metrics_scenario;
-      (** health over the cluster gauges — Healthy -> Rebalancing -> Healthy *)
+      (** health over the cluster gauges — healthy -> rebalancing -> healthy *)
   cl_objects : int;
   cl_live_servers : int;
   cl_join_delta : int;  (** dirty shards right after the two joins *)
@@ -640,7 +640,7 @@ val cluster_experiment : unit -> cluster_report
     R live copies of every object, shards outside the deltas never
     moved, and the health evaluator (watching [cluster.shards_remaining]
     off the same registry STD_STATUS serves) walked exactly
-    Healthy -> Rebalancing -> Healthy.  The whole episode runs twice
+    healthy -> rebalancing -> healthy.  The whole episode runs twice
     and the canonical checkpoints must be byte-identical.  Raises
     [Failure] if any invariant is violated. *)
 

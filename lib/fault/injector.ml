@@ -16,11 +16,7 @@ type t = {
   queue : Plan.event Event_queue.t;
   transport : Transport.t option;
   mirror : Mirror.t option;
-  on_crash : unit -> unit;
-  on_reboot : unit -> unit;
-  on_lease_skew : int -> unit;
-  on_txn_crash : Plan.txn_edge -> unit;
-  on_shard_kill : string -> unit;
+  act : Plan.event -> unit; (* crash, reboot, skew, kill, txn crash: the harness acts them out *)
   stats : Stats.t;
   mutable loss : float;
   mutable duplication : float;
@@ -97,10 +93,10 @@ let apply t event =
       t.resync_started_us <- Clock.now t.clock;
       Stats.incr t.stats "drive_rejoins")
   | Server_crash ->
-    t.on_crash ();
+    t.act event;
     Stats.incr t.stats "server_crashes"
   | Server_reboot ->
-    record t "reboot_us" t.on_reboot;
+    record t "reboot_us" (fun () -> t.act event);
     Stats.incr t.stats "server_reboots"
   | Message_loss p -> t.loss <- p
   | Message_duplication p -> t.duplication <- p
@@ -112,8 +108,8 @@ let apply t event =
     let s = link_state t l in
     s.link_loss <- 0.;
     s.partitioned <- false
-  | Lease_clock_skew us ->
-    t.on_lease_skew us;
+  | Lease_clock_skew _ ->
+    t.act event;
     Stats.incr t.stats "lease_skews"
   | Txn_crash edge ->
     t.txn_armed <- Some edge;
@@ -124,8 +120,8 @@ let apply t event =
   | Txn_dup leg ->
     let i = leg_index leg in
     t.txn_dups.(i) <- t.txn_dups.(i) + 1
-  | Shard_kill name ->
-    t.on_shard_kill name;
+  | Shard_kill _ ->
+    t.act event;
     Stats.incr t.stats "shard_kills"
 
 (* The [firing] flag makes event application atomic from the hooks' point
@@ -170,9 +166,9 @@ let poll t =
   step_resync t
 
 (* Called by the 2PC harness at each protocol edge.  An armed crash for
-   this edge fires exactly once, through the harness's [on_txn_crash]
-   action (which typically unregisters a port, drops volatile state, or
-   raises to unwind the coordinator).  Runs under [firing] so the crash
+   this edge fires exactly once, as [act (Txn_crash edge)] (the harness
+   typically unregisters a port, drops volatile state, or raises to
+   unwind the coordinator).  Runs under [firing] so the crash
    action itself draws no faults and fires no further events. *)
 let txn_point t edge =
   if not t.firing then begin
@@ -182,7 +178,7 @@ let txn_point t edge =
       t.txn_armed <- None;
       Stats.incr t.stats "txn_crashes";
       t.firing <- true;
-      Fun.protect ~finally:(fun () -> t.firing <- false) (fun () -> t.on_txn_crash edge)
+      Fun.protect ~finally:(fun () -> t.firing <- false) (fun () -> t.act (Plan.Txn_crash edge))
     | _ -> ()
   end
 
@@ -269,10 +265,7 @@ let disk_fault t ~sector:_ ~count:_ ~write =
      pass would make event application non-atomic). *)
   if t.firing || write then false else Prng.bernoulli t.prng t.sector_errors
 
-let attach ?transport ?mirror ?(on_crash = fun () -> ()) ?(on_reboot = fun () -> ())
-    ?(on_lease_skew = fun (_ : int) -> ())
-    ?(on_txn_crash = fun (_ : Plan.txn_edge) -> ())
-    ?(on_shard_kill = fun (_ : string) -> ()) ~clock plan =
+let attach ?transport ?mirror ?(act = fun (_ : Plan.event) -> ()) ~clock plan =
   let queue = Event_queue.create () in
   (* the plan's own step order pins simultaneous steps *)
   List.iteri
@@ -286,11 +279,7 @@ let attach ?transport ?mirror ?(on_crash = fun () -> ()) ?(on_reboot = fun () ->
       queue;
       transport;
       mirror;
-      on_crash;
-      on_reboot;
-      on_lease_skew;
-      on_txn_crash;
-      on_shard_kill;
+      act;
       stats = Stats.create "fault-injector";
       loss = 0.;
       duplication = 0.;

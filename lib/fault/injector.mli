@@ -22,12 +22,14 @@
     [Amoeba_rpc.Transport.trans]'s [?link]); untagged traffic sees only
     the global rates.
 
-    Crash and reboot are harness-supplied actions because the injector is
-    generic over what is running on the transport: for a Bullet rig,
-    [on_crash] typically unregisters the port and calls [Server.crash],
-    and [on_reboot] restarts the server on the surviving image (same
-    seed, so capabilities minted before the crash remain valid) and
-    re-registers it.
+    The injector is generic over what is running on the transport, so
+    the events that act on the rig itself — [Server_crash],
+    [Server_reboot], [Lease_clock_skew], [Shard_kill], and a [Txn_crash]
+    reaching its edge — are handed to one harness-supplied [act]. For a
+    Bullet rig, [act Server_crash] typically unregisters the port and
+    calls [Server.crash], and [act Server_reboot] restarts the server on
+    the surviving image (same seed, so capabilities minted before the
+    crash remain valid) and re-registers it.
 
     All probabilistic draws come from one PRNG seeded by the plan, and
     the draw order is fixed, so a given plan against a given workload is
@@ -38,32 +40,31 @@ type t
 val attach :
   ?transport:Amoeba_rpc.Transport.t ->
   ?mirror:Amoeba_disk.Mirror.t ->
-  ?on_crash:(unit -> unit) ->
-  ?on_reboot:(unit -> unit) ->
-  ?on_lease_skew:(int -> unit) ->
-  ?on_txn_crash:(Plan.txn_edge -> unit) ->
-  ?on_shard_kill:(string -> unit) ->
+  ?act:(Plan.event -> unit) ->
   clock:Amoeba_sim.Clock.t ->
   Plan.t ->
   t
 (** Install the plan's hooks; events already due (at time 0) fire
     immediately. [Drive_fail]/[Drive_recover]/[Drive_rejoin] events
     require [mirror]; message-fault draws require [transport] (without
-    it they never happen). [on_lease_skew] receives [Lease_clock_skew]
-    offsets — typically [Amoeba_lease.Station.set_skew]; default
-    ignores them. [on_txn_crash] is the crash action a {!txn_point}
-    call fires when its edge is armed — typically it unregisters a
-    port, drops a server's volatile state, or raises to unwind the
-    coordinator mid-protocol; default ignores the edge.
-    [on_shard_kill] receives [Shard_kill] server names — for a cluster
-    rig, [Amoeba_cluster.Cluster.kill_server]; default ignores them. *)
+    it they never happen).
+
+    [act] receives [Server_crash], [Server_reboot], [Lease_clock_skew]
+    and [Shard_kill] as they fire, and [Txn_crash edge] when a
+    {!txn_point} call reaches the armed edge (arming alone does not call
+    it). A reboot's [act] is timed into the [reboot_us] series. Callers
+    match on the events they handle and ignore the rest; the default
+    ignores every event. Typical actions: [Lease_clock_skew] →
+    [Amoeba_lease.Station.set_skew]; [Txn_crash] → unregister a port,
+    drop a server's volatile state, or raise to unwind the coordinator
+    mid-protocol; [Shard_kill] → [Amoeba_cluster.Cluster.kill_server]. *)
 
 val txn_point : t -> Plan.txn_edge -> unit
 (** Declare that the harness's two-phase commit just reached [edge].
     Due scripted events fire first; then, if a [Txn_crash] for exactly
-    this edge is armed, it is consumed and [on_txn_crash] runs (under
-    the same atomicity as other event applications — the crash action
-    itself draws no faults). The 2PC coordinator calls this at each of
+    this edge is armed, it is consumed and [act (Txn_crash edge)] runs
+    (under the same atomicity as other event applications — the crash
+    action itself draws no faults). The 2PC coordinator calls this at each of
     its protocol edges; an experiment's crash action decides what
     "crash" means for its rig. *)
 

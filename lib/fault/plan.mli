@@ -78,7 +78,7 @@ type event =
   | Txn_crash of txn_edge
       (** arm a crash at one protocol edge; it fires when the harness's
           transaction reaches that edge (see [Injector.txn_point]) and
-          invokes the [on_txn_crash] action *)
+          is then handed to the harness's [act] *)
   | Txn_drop of txn_leg * int
       (** drop the next [n] transaction messages on this leg — targeted
           loss, unlike the probabilistic [Message_loss] *)
@@ -90,8 +90,8 @@ type event =
           duplicate and deliver normally. *)
   | Shard_kill of string
       (** kill the named cluster server — permanently, mid-whatever the
-          rebalancer is doing. The harness's [on_shard_kill] action
-          receives the name; for a cluster rig it calls
+          rebalancer is doing. The harness's [act] receives the
+          event; for a cluster rig it calls
           [Amoeba_cluster.Cluster.kill_server], which unregisters the
           port, crashes the server, drops its replicas and marks the
           ring-delta shards for re-replication on the survivors. *)

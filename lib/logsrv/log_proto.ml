@@ -17,15 +17,6 @@ let cmd_compact = 7
 
 let cmd_delete = 8
 
-let reply_of_result ~encode = function
-  | Ok v -> encode v
-  | Error status -> Message.error status
-
-let with_cap request k =
-  match request.Message.cap with
-  | None -> Message.error Status.Bad_request
-  | Some cap -> k cap
-
 let dispatch server request =
   let command = request.Message.command in
   let ok_unit () = Message.reply ~status:Status.Ok () in
@@ -33,24 +24,28 @@ let dispatch server request =
   if command = cmd_create_log then
     Message.reply ~status:Status.Ok ~cap:(Log_store.create_log server) ()
   else if command = cmd_append then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:ok_int (Log_store.append server cap request.Message.body))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_int (Log_store.append server cap request.Message.body))
   else if command = cmd_sync then
-    with_cap request (fun cap -> reply_of_result ~encode:ok_unit (Log_store.sync server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_unit (Log_store.sync server cap))
   else if command = cmd_length then
-    with_cap request (fun cap -> reply_of_result ~encode:ok_int (Log_store.length server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_int (Log_store.length server cap))
   else if command = cmd_durable_length then
-    with_cap request (fun cap ->
-        reply_of_result ~encode:ok_int (Log_store.durable_length server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_int (Log_store.durable_length server cap))
   else if command = cmd_read then
-    with_cap request (fun cap ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun body -> Message.reply ~status:Status.Ok ~body ())
           (Log_store.read_log server cap))
   else if command = cmd_compact then
-    with_cap request (fun cap -> reply_of_result ~encode:ok_unit (Log_store.compact_log server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_unit (Log_store.compact_log server cap))
   else if command = cmd_delete then
-    with_cap request (fun cap -> reply_of_result ~encode:ok_unit (Log_store.delete_log server cap))
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result ~encode:ok_unit (Log_store.delete_log server cap))
   else Message.error Status.Bad_request
 
 let serve server transport =

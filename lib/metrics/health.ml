@@ -2,59 +2,73 @@
    reads, no randomness — so the transition lists asserted by the
    METRICS experiment are exactly reproducible. *)
 
-type state =
-  | Healthy
-  | Degraded of { resync_backlog : int }
-  | Overloaded of { shed_rate : int }
-  | Lease_churning
-  | Txn_stuck of { in_doubt : int }
-  | Rebalancing of { shards_remaining : int }
+type state = { rule : string; value : int option }
+
+let healthy = { rule = "healthy"; value = None }
 
 let state_label = function
-  | Healthy -> "healthy"
-  | Degraded { resync_backlog } -> Printf.sprintf "degraded:%d" resync_backlog
-  | Overloaded { shed_rate } -> Printf.sprintf "overloaded:%d" shed_rate
-  | Lease_churning -> "lease_churning"
-  | Txn_stuck { in_doubt } -> Printf.sprintf "txn_stuck:%d" in_doubt
-  | Rebalancing { shards_remaining } -> Printf.sprintf "rebalancing:%d" shards_remaining
-
-let same_kind a b =
-  match (a, b) with
-  | Healthy, Healthy -> true
-  | Degraded _, Degraded _ -> true
-  | Overloaded _, Overloaded _ -> true
-  | Lease_churning, Lease_churning -> true
-  | Txn_stuck _, Txn_stuck _ -> true
-  | Rebalancing _, Rebalancing _ -> true
-  | (Healthy | Degraded _ | Overloaded _ | Lease_churning | Txn_stuck _ | Rebalancing _), _ ->
-    false
+  | { rule; value = None } -> rule
+  | { rule; value = Some v } -> Printf.sprintf "%s:%d" rule v
 
 (* The thresholds health.mli documents. *)
 let shed_rate_pct = 10
 
 let churn_per_interval = 3
 
-let stuck_after = 2
-
-let rebal_after = 2
-
 let exit_after = 2
+
+let hit rule value = Some { rule; value }
+
+(* The rule table, in precedence order: each rule is [(enter_after,
+   check)], and [check] holds on one snapshot. A rule enters once it has
+   held for [enter_after] consecutive snapshots. The gauge reader is
+   bound as [level]: a bare [gauge "name"] reads as a registration to
+   amoeba-vet's metric inventory. *)
+let rules =
+  [|
+    ( 1,
+      fun ~delta ~gauge:_ ->
+        let shed = delta "sched.sheds" and offered = delta "sched.offered" in
+        if shed > 0 && offered > 0 && shed * 100 >= shed_rate_pct * offered then
+          hit "overloaded" (Some (shed * 100 / offered))
+        else None );
+    ( 1,
+      fun ~delta:_ ~gauge:level ->
+        if level "mirror.sync_state" <> 0 then
+          hit "degraded" (Some (level "mirror.sectors_remaining"))
+        else None );
+    (* an in-doubt transaction is normal for one scrape (a decision leg in
+       flight); one that PERSISTS is a coordinator that died mid-decision *)
+    ( 2,
+      fun ~delta:_ ~gauge:level ->
+        let n = level "txn.in_doubt" in
+        if n > 0 then hit "txn_stuck" (Some n) else None );
+    ( 1,
+      fun ~delta ~gauge:_ ->
+        if delta "lease.churn" >= churn_per_interval then hit "lease_churning" None else None
+    );
+    (* one snapshot of dirty shards is a membership blip the very next
+       step may drain — a BACKLOG that persists is a migration in
+       progress *)
+    ( 2,
+      fun ~delta:_ ~gauge:level ->
+        let n = level "cluster.shards_remaining" in
+        if n > 0 then hit "rebalancing" (Some n) else None );
+  |]
 
 type t = {
   mutable cur : state;
   mutable clean_streak : int;
-  mutable doubt_streak : int;
-  mutable rebal_streak : int;
+  streaks : int array; (* consecutive snapshots each rule has held, by table index *)
   mutable prev : Metrics.snapshot option;
   mutable transitions_rev : (int * state) list;
 }
 
 let create () =
   {
-    cur = Healthy;
+    cur = healthy;
     clean_streak = 0;
-    doubt_streak = 0;
-    rebal_streak = 0;
+    streaks = Array.make (Array.length rules) 0;
     prev = None;
     transitions_rev = [];
   }
@@ -65,55 +79,44 @@ let metric snap key =
   match Metrics.find snap key with None -> 0 | Some v -> Metrics.value_int v
 
 let observe t snap =
+  (* the first snapshot is a baseline: counts since boot are not one
+     interval's worth *)
   let delta key =
-    metric snap key - (match t.prev with None -> 0 | Some p -> metric p key)
+    match t.prev with None -> 0 | Some p -> metric snap key - metric p key
   in
-  (match t.prev with
-  | None -> t.transitions_rev <- [ (snap.Metrics.at_us, t.cur) ]
-  | Some _ -> ());
-  let shed_d = delta "sched.sheds" in
-  let offered_d = delta "sched.offered" in
-  let churn_d = delta "lease.churn" in
-  let sync = metric snap "mirror.sync_state" in
-  let in_doubt = metric snap "txn.in_doubt" in
-  let in_rebal = metric snap "cluster.shards_remaining" in
-  (* an in-doubt transaction is normal for one scrape (a decision leg in
-     flight); one that PERSISTS is a coordinator that died mid-decision *)
-  t.doubt_streak <- (if in_doubt > 0 then t.doubt_streak + 1 else 0);
-  (* entry hysteresis for rebalancing too: one snapshot of dirty shards
-     is a membership blip the very next step may drain — a BACKLOG that
-     persists is a migration in progress *)
-  t.rebal_streak <- (if in_rebal > 0 then t.rebal_streak + 1 else 0);
-  let candidate =
-    if shed_d > 0 && offered_d > 0 && shed_d * 100 >= shed_rate_pct * offered_d then
-      Overloaded { shed_rate = shed_d * 100 / offered_d }
-    else if sync <> 0 then Degraded { resync_backlog = metric snap "mirror.sectors_remaining" }
-    else if t.doubt_streak >= stuck_after then Txn_stuck { in_doubt }
-    else if churn_d >= churn_per_interval then Lease_churning
-    else if t.rebal_streak >= rebal_after then Rebalancing { shards_remaining = in_rebal }
-    else Healthy
-  in
+  let gauge = metric snap in
+  if Option.is_none t.prev then t.transitions_rev <- [ (snap.Metrics.at_us, t.cur) ];
+  (* every rule is checked on every snapshot so each streak stays
+     current; the first in table order that has held long enough wins *)
+  let candidate = ref None in
+  Array.iteri
+    (fun i (enter_after, check) ->
+      match check ~delta ~gauge with
+      | None -> t.streaks.(i) <- 0
+      | Some s ->
+        t.streaks.(i) <- t.streaks.(i) + 1;
+        if Option.is_none !candidate && t.streaks.(i) >= enter_after then candidate := Some s)
+    rules;
   let goto s =
     t.cur <- s;
     t.transitions_rev <- (snap.Metrics.at_us, s) :: t.transitions_rev
   in
-  (match candidate with
-  | Healthy ->
-    (match t.cur with
-    | Healthy -> ()
-    | Degraded _ | Overloaded _ | Lease_churning | Txn_stuck _ | Rebalancing _ ->
+  (match !candidate with
+  | None ->
+    if not (String.equal t.cur.rule healthy.rule) then begin
       (* hysteresis: one quiet interval is not recovery *)
       t.clean_streak <- t.clean_streak + 1;
       if t.clean_streak >= exit_after then begin
         t.clean_streak <- 0;
-        goto Healthy
-      end)
-  | Degraded _ | Overloaded _ | Lease_churning | Txn_stuck _ | Rebalancing _ ->
+        goto healthy
+      end
+    end
+  | Some s ->
     t.clean_streak <- 0;
-    (* entering a bad state is immediate; while the kind is unchanged the
-       entry payload stands, so the transition list stays a sequence of
+    (* entering a bad state is immediate; while the rule is unchanged the
+       entry value stands, so the transition list stays a sequence of
        edges rather than a per-snapshot log *)
-    if not (same_kind t.cur candidate) then goto candidate);
+    if not (String.equal t.cur.rule s.rule) then goto s);
   t.prev <- Some snap;
   t.cur
 

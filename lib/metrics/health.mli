@@ -1,79 +1,66 @@
 (** Health states and SLO burn-rate alerts folded from metric snapshots.
 
     The evaluator is a deterministic state machine over a snapshot
-    stream: each {!observe} compares counters against the previous
-    snapshot (rates are per-interval deltas, so cumulative counters work
-    unchanged) and gauges against thresholds, picks the worst matching
-    condition, and applies hysteresis on the way back to [Healthy] so a
-    single quiet interval cannot flap the state.  The METRICS experiment
-    asserts the exact transition sequence under scripted fault plans —
-    there is no tolerance window, the sequence is part of the repo's
-    byte-stable surface. *)
+    stream, driven by one ordered table of rules. Each {!observe}
+    compares counters against the previous snapshot (rates are
+    per-interval deltas, so cumulative counters work unchanged) and
+    gauges against thresholds, checks every rule, picks the first in
+    table order that has held long enough, and applies hysteresis on the
+    way back to healthy so a single quiet interval cannot flap the
+    state. The METRICS experiment asserts the exact transition sequence
+    under scripted fault plans — there is no tolerance window, the
+    sequence is part of the repo's byte-stable surface. *)
 
-type state =
-  | Healthy
-  | Degraded of { resync_backlog : int }
-      (** a mirror drive is offline or resyncing; the payload is the
-          dirty-sector backlog at entry *)
-  | Overloaded of { shed_rate : int }
-      (** admission control is rejecting work; payload is the percentage
-          of offered attempts shed in the entry interval *)
-  | Lease_churning
-      (** lease grants/renewals/expiries are spiking — clients are
-          re-establishing state faster than steady reads explain *)
-  | Txn_stuck of { in_doubt : int }
-      (** in-doubt 2PC transactions are not draining — a coordinator
-          died mid-decision and has not recovered; payload is the
-          in-doubt gauge at entry *)
-  | Rebalancing of { shards_remaining : int }
-      (** the cluster is migrating shards after a membership change;
-          payload is the dirty-shard backlog at entry. Planned data
-          movement, so every incident state outranks it. *)
+type state = {
+  rule : string;  (** the rule that holds, or ["healthy"] *)
+  value : int option;  (** the rule's reading at entry, if it reports one *)
+}
+
+val healthy : state
+(** [{ rule = "healthy"; value = None }]. *)
 
 val state_label : state -> string
-(** ["healthy"], ["degraded:<backlog>"], ["overloaded:<pct>"],
-    ["lease_churning"], ["txn_stuck:<n>"], ["rebalancing:<n>"] — for
-    reports and dumps. *)
+(** [rule], or [rule:value] when the rule reports a value — for reports
+    and dumps. *)
 
-val same_kind : state -> state -> bool
-(** Constructor equality, ignoring payloads. *)
+(** {2 The rule table}
 
-(** {2 Wiring and thresholds}
-
-    The evaluator reads the standard Bullet metric names, with fixed
-    thresholds:
-    - [Degraded] while the [mirror.sync_state] gauge is non-zero (a
-      drive is off or catching up); the payload is the
+    The evaluator reads the standard Bullet metric names. In precedence
+    order — planned data movement never masks an incident:
+    + [overloaded:<pct>] when [sched.sheds] grows by at least 10% of
+      [sched.offered] over one interval (both cumulative counters); the
+      value is the percentage shed.
+    + [degraded:<backlog>] while the [mirror.sync_state] gauge is
+      non-zero (a drive is off or catching up); the value is the
       [mirror.sectors_remaining] gauge.
-    - [Overloaded] when [sched.sheds] grows by at least 10% of
-      [sched.offered] over one interval (both cumulative counters).
-    - [Lease_churning] when the cumulative [lease.churn] counter grows
+    + [txn_stuck:<n>] once the [txn.in_doubt] gauge has been non-zero
+      for 2 consecutive snapshots — one snapshot of doubt is just a
+      decision leg in flight.
+    + [lease_churning] when the cumulative [lease.churn] counter grows
       by at least 3 in one interval.
-    - [Txn_stuck] once the [txn.in_doubt] gauge has been non-zero for 2
-      consecutive snapshots — one snapshot of doubt is just a decision
-      leg in flight.
-    - [Rebalancing] once the [cluster.shards_remaining] gauge has been
-      non-zero for 2 consecutive snapshots — entry hysteresis, so a
-      membership blip the next step drains never shows.
-    - Back to [Healthy] after 2 consecutive clean snapshots. *)
+    + [rebalancing:<n>] once the [cluster.shards_remaining] gauge has
+      been non-zero for 2 consecutive snapshots, so a membership blip
+      the next step drains never shows.
+
+    A gap in a rule's run resets its streak. While the rule is
+    unchanged its entry value stands. Back to healthy after 2
+    consecutive snapshots on which no rule enters. *)
 
 type t
 
 val create : unit -> t
-(** A fresh evaluator in [Healthy]. *)
+(** A fresh evaluator, healthy. *)
 
 val state : t -> state
 
 val observe : t -> Metrics.snapshot -> state
-(** Fold one snapshot; returns the (possibly new) state.  Missing
+(** Fold one snapshot; returns the (possibly new) state. Missing
     metrics read as zero, so one evaluator works against any registry.
-    Precedence when several conditions hold: [Overloaded] over
-    [Degraded] over [Txn_stuck] over [Lease_churning] over
-    [Rebalancing] — planned data movement never masks an incident. *)
+    The first snapshot is a baseline: every counter delta on it is 0. *)
 
 val transitions : t -> (int * state) list
 (** Every state change as [(at_us, new_state)], oldest first, including
-    the initial [Healthy] at the first observed snapshot. *)
+    the initial healthy state at the first observed snapshot. *)
 
 (** {2 SLO alerts} *)
 

@@ -18,42 +18,34 @@ let fh_to_cap port fh =
 let fh_of_cap cap =
   { Nfs_server.ino = cap.Amoeba_cap.Capability.obj; gen = Int64.to_int cap.Amoeba_cap.Capability.check }
 
-let reply_of_result ~encode = function
-  | Ok v -> encode v
-  | Error status -> Message.error status
-
-let with_fh request k =
-  match request.Message.cap with
-  | None -> Message.error Status.Bad_request
-  | Some cap -> k (fh_of_cap cap)
-
 let dispatch server request =
   let command = request.Message.command in
   if command = cmd_create then
-    reply_of_result
+    Message.reply_of_result
       ~encode:(fun fh ->
         Message.reply ~status:Status.Ok ~cap:(fh_to_cap (Nfs_server.port server) fh) ())
       (Nfs_server.create server)
   else if command = cmd_write then
-    with_fh request (fun fh ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun () -> Message.reply ~status:Status.Ok ())
-          (Nfs_server.write server fh ~off:request.Message.arg0 request.Message.body))
+          (Nfs_server.write server (fh_of_cap cap) ~off:request.Message.arg0 request.Message.body))
   else if command = cmd_read then
-    with_fh request (fun fh ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun body -> Message.reply ~status:Status.Ok ~body ())
-          (Nfs_server.read server fh ~off:request.Message.arg0 ~len:request.Message.arg1))
+          (Nfs_server.read server (fh_of_cap cap) ~off:request.Message.arg0
+             ~len:request.Message.arg1))
   else if command = cmd_getattr then
-    with_fh request (fun fh ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun attr -> Message.reply ~status:Status.Ok ~arg0:attr.Nfs_server.size ())
-          (Nfs_server.getattr server fh))
+          (Nfs_server.getattr server (fh_of_cap cap)))
   else if command = cmd_remove then
-    with_fh request (fun fh ->
-        reply_of_result
+    Message.with_cap request (fun cap ->
+        Message.reply_of_result
           ~encode:(fun () -> Message.reply ~status:Status.Ok ())
-          (Nfs_server.remove server fh))
+          (Nfs_server.remove server (fh_of_cap cap)))
   else Message.error Status.Bad_request
 
 let serve server transport =

@@ -21,6 +21,11 @@ let reply ~status ?cap ?(arg0 = 0) ?(arg1 = 0) ?(body = empty_body) () =
 
 let error status = reply ~status ()
 
+let reply_of_result ~encode = function Ok v -> encode v | Error status -> error status
+
+let with_cap request k =
+  match request.cap with None -> error Status.Bad_request | Some cap -> k cap
+
 (* port 6 + command/status 4 + capability 20 + two args 8 + size 4; the
    transaction id rides in the header's matching field, which this
    per-message cost already counts (real Amoeba RPC matches replies to

@@ -41,6 +41,14 @@ val reply :
 val error : Status.t -> t
 (** Shorthand for an empty-bodied error reply. *)
 
+val reply_of_result : encode:('a -> t) -> ('a, Status.t) result -> t
+(** A service's reply to an operation's result: [encode] an [Ok] value,
+    or send an [Error] status as {!error}. *)
+
+val with_cap : t -> (Amoeba_cap.Capability.t -> t) -> t
+(** Run [k] on the request's capability; a request without one gets a
+    [Bad_request] error reply. *)
+
 val header_bytes : int
 (** Wire size of the fixed header, for the network cost model. *)
 

@@ -155,8 +155,10 @@ let test_plan_driven_crash_mid_stream () =
   in
   let injector =
     Amoeba_fault.Injector.attach
-      ~on_crash:(fun () -> Pair.fail_primary rig.pair)
-      ~on_reboot:(fun () -> Pair.heal_primary rig.pair)
+      ~act:(function
+        | Amoeba_fault.Plan.Server_crash -> Pair.fail_primary rig.pair
+        | Server_reboot -> Pair.heal_primary rig.pair
+        | _ -> ())
       ~clock plan
   in
   let outage_ops = ref 0 in

@@ -173,18 +173,18 @@ let test_crash_reboot_spanned_by_retries () =
     |> fun p -> Plan.at p ~us:crash_at Plan.Server_crash
     |> fun p -> Plan.at p ~us:reboot_at Plan.Server_reboot
   in
-  let on_crash () =
-    Transport.unregister b.transport port;
-    Server.crash !server
-  in
-  let on_reboot () =
-    let booted, _ = Result.get_ok (Server.start ~config:small_bullet_config b.rig.mirror) in
-    server := booted;
-    Bullet_core.Proto.serve booted b.transport
+  let act : Plan.event -> unit = function
+    | Server_crash ->
+      Transport.unregister b.transport port;
+      Server.crash !server
+    | Server_reboot ->
+      let booted, _ = Result.get_ok (Server.start ~config:small_bullet_config b.rig.mirror) in
+      server := booted;
+      Bullet_core.Proto.serve booted b.transport
+    | _ -> ()
   in
   let injector =
-    Injector.attach ~transport:b.transport ~mirror:b.rig.mirror ~on_crash ~on_reboot
-      ~clock:b.rig.clock plan
+    Injector.attach ~transport:b.transport ~mirror:b.rig.mirror ~act ~clock:b.rig.clock plan
   in
   Clock.advance b.rig.clock 1_000;
   (* this read starts inside the outage: it times out, backs off, and a
@@ -289,22 +289,41 @@ let test_plan_parse_shard_kill () =
          (Format.asprintf "%a" Plan.pp_event (Plan.Shard_kill "bee"))
          "bee")
 
-(* The injector hands Shard_kill names to the harness action and counts
-   them; a plan without a cluster attached is simply ignored. *)
-let test_shard_kill_reaches_hook () =
+(* The injector hands the harness events to [act] as they fire and
+   counts them: a shard kill and a lease skew when their time comes, and
+   an armed txn crash exactly once, only when the transaction reaches
+   its edge. Arming it, and every other edge, is not an action. *)
+let test_harness_events_reach_act () =
   let clock = Amoeba_sim.Clock.create () in
   let plan =
-    match Plan.parse "at 1000 shard_kill bee\n" with Ok p -> p | Error e -> failwith e
+    match
+      Plan.parse
+        "at 1000 shard_kill bee\nat 1000 lease_skew -250\nat 2000 txn_crash coord_after_prepare\n"
+    with
+    | Ok p -> p
+    | Error e -> failwith e
   in
-  let killed = ref [] in
-  let injector =
-    Injector.attach ~on_shard_kill:(fun name -> killed := name :: !killed) ~clock plan
-  in
-  check_bool "not yet" true (!killed = []);
-  Amoeba_sim.Clock.advance clock 1_000;
+  let acted = ref [] in
+  let injector = Injector.attach ~act:(fun ev -> acted := ev :: !acted) ~clock plan in
+  let seen () = List.rev !acted in
+  let count key = Stats.count (Injector.stats injector) key in
+  check_bool "not yet" true (seen () = []);
+  Clock.advance clock 1_000;
   Injector.poll injector;
-  check_bool "hook got the name" true (!killed = [ "bee" ]);
-  check_int "counted" 1 (Amoeba_sim.Stats.count (Injector.stats injector) "shard_kills");
+  check_bool "kill and skew, in plan order" true
+    (seen () = [ Plan.Shard_kill "bee"; Plan.Lease_clock_skew (-250) ]);
+  check_int "kill counted" 1 (count "shard_kills");
+  check_int "skew counted" 1 (count "lease_skews");
+  acted := [];
+  Clock.advance clock 1_000;
+  Injector.txn_point injector Plan.Coord_before_prepare;
+  check_int "armed" 1 (count "txn_crashes_armed");
+  check_bool "arming and other edges do not act" true (seen () = []);
+  Injector.txn_point injector Plan.Coord_after_prepare;
+  Injector.txn_point injector Plan.Coord_after_prepare;
+  check_bool "the armed edge acts once" true
+    (seen () = [ Plan.Txn_crash Plan.Coord_after_prepare ]);
+  check_int "crash counted once" 1 (count "txn_crashes");
   Injector.detach injector
 
 let test_plan_parse_txn_directives () =
@@ -453,8 +472,7 @@ let suite =
         test_plan_parse_errors_carry_line;
       Alcotest.test_case "txn directives parse" `Quick test_plan_parse_txn_directives;
       Alcotest.test_case "shard_kill directives parse" `Quick test_plan_parse_shard_kill;
-      Alcotest.test_case "shard_kill reaches the harness hook" `Quick
-        test_shard_kill_reaches_hook;
+      Alcotest.test_case "harness events reach act" `Quick test_harness_events_reach_act;
       Alcotest.test_case "drive rejoin via plan, injector paces resync" `Quick
         test_drive_rejoin_via_plan;
       Alcotest.test_case "link faults scope to tagged traffic" `Quick

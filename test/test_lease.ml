@@ -215,7 +215,8 @@ let test_skewed_station_never_stale_after_delete () =
     match Plan.parse plan_text with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
   in
   let injector =
-    Injector.attach ~transport:rig.b.transport ~on_lease_skew:(Station.set_skew st)
+    Injector.attach ~transport:rig.b.transport
+      ~act:(function Plan.Lease_clock_skew us -> Station.set_skew st us | _ -> ())
       ~clock:rig.b.rig.clock plan
   in
   let deleted = ref false in

@@ -158,26 +158,25 @@ let snap_of at fields =
         (List.sort (fun (a, _) (b, _) -> String.compare a b) fields);
   }
 
+let label = Health.state_label
+
 let test_health_degraded_hysteresis () =
   let h = Health.create () in
   let obs at sync backlog =
-    Health.observe h
-      (snap_of at [ ("mirror.sync_state", sync); ("mirror.sectors_remaining", backlog) ])
+    label
+      (Health.observe h
+         (snap_of at [ ("mirror.sync_state", sync); ("mirror.sectors_remaining", backlog) ]))
   in
-  check_bool "baseline healthy" true (obs 0 0 0 = Health.Healthy);
+  check_string "baseline healthy" "healthy" (obs 0 0 0);
   (* entering a bad state is immediate *)
-  check_bool "degraded at once" true
-    (obs 100 1 512 = Health.Degraded { resync_backlog = 512 });
-  (* same kind, different payload: the entry payload stands *)
-  check_bool "entry payload kept" true
-    (obs 200 2 8_192 = Health.Degraded { resync_backlog = 512 });
+  check_string "degraded at once" "degraded:512" (obs 100 1 512);
+  (* same rule, different value: the entry value stands *)
+  check_string "entry value kept" "degraded:512" (obs 200 2 8_192);
   (* one clean snapshot is not recovery (exit_after = 2) *)
-  check_bool "one clean interval stays degraded" true
-    (obs 300 0 0 = Health.Degraded { resync_backlog = 512 });
-  check_bool "second clean interval recovers" true (obs 400 0 0 = Health.Healthy);
+  check_string "one clean interval stays degraded" "degraded:512" (obs 300 0 0);
+  check_string "second clean interval recovers" "healthy" (obs 400 0 0);
   check_string "transition labels" "healthy,degraded:512,healthy"
-    (String.concat ","
-       (List.map (fun (_, st) -> Health.state_label st) (Health.transitions h)))
+    (String.concat "," (List.map (fun (_, st) -> label st) (Health.transitions h)))
 
 let test_health_flap_resets_streak () =
   let h = Health.create () in
@@ -188,10 +187,9 @@ let test_health_flap_resets_streak () =
   (* the dirty snapshot resets the clean streak: still not recovered *)
   ignore (obs 3 1);
   ignore (obs 4 0);
-  check_bool "flapping never recovers" true
-    (match Health.state h with Health.Degraded _ -> true | _ -> false);
+  check_string "flapping never recovers" "degraded" (Health.state h).Health.rule;
   ignore (obs 5 0);
-  check_bool "two consecutive clean recover" true (Health.state h = Health.Healthy)
+  check_bool "two consecutive clean recover" true (Health.state h = Health.healthy)
 
 let test_health_overload_precedence () =
   let h = Health.create () in
@@ -203,19 +201,73 @@ let test_health_overload_precedence () =
       (snap_of 100
          [ ("sched.sheds", 50); ("sched.offered", 100); ("mirror.sync_state", 1) ])
   in
-  check_bool "overloaded wins" true (st = Health.Overloaded { shed_rate = 50 })
+  check_string "overloaded wins" "overloaded:50" (label st)
 
 let test_health_churn_threshold () =
   (* the documented threshold: 3 churn events per interval *)
   let churn_per_interval = 3 in
   let h = Health.create () in
-  let obs at churn = Health.observe h (snap_of at [ ("lease.churn", churn) ]) in
+  let obs at churn = label (Health.observe h (snap_of at [ ("lease.churn", churn) ])) in
   ignore (obs 0 0);
   (* delta below the threshold stays healthy *)
-  check_bool "below threshold" true (obs 1 (churn_per_interval - 1) = Health.Healthy);
+  check_string "below threshold" "healthy" (obs 1 (churn_per_interval - 1));
   (* exactly at the threshold enters churn *)
-  check_bool "at threshold" true
-    (obs 2 (churn_per_interval - 1 + churn_per_interval) = Health.Lease_churning)
+  check_string "at threshold" "lease_churning"
+    (obs 2 (churn_per_interval - 1 + churn_per_interval))
+
+let test_health_first_snapshot_baseline () =
+  (* counts since boot are not one interval's worth: the first snapshot
+     only sets the baseline the next delta is taken from *)
+  let h = Health.create () in
+  check_string "sheds since boot are not a storm" "healthy"
+    (label (Health.observe h (snap_of 0 [ ("sched.sheds", 50); ("sched.offered", 100) ])));
+  check_string "the next interval's sheds are" "overloaded:50"
+    (label (Health.observe h (snap_of 1 [ ("sched.sheds", 100); ("sched.offered", 200) ])));
+  let h = Health.create () in
+  check_string "churn since boot is not churn" "healthy"
+    (label (Health.observe h (snap_of 0 [ ("lease.churn", 5) ])))
+
+let test_health_entry_streaks () =
+  (* txn_stuck and rebalancing enter only after 2 consecutive snapshots,
+     and a gap starts the count again *)
+  List.iter
+    (fun (gauge, rule) ->
+      let h = Health.create () in
+      let obs at n = label (Health.observe h (snap_of at [ (gauge, n) ])) in
+      check_string (rule ^ ": one snapshot is a blip") "healthy" (obs 0 4);
+      check_string (rule ^ ": a gap resets the streak") "healthy" (obs 1 0);
+      check_string (rule ^ ": first after the gap") "healthy" (obs 2 3);
+      check_string (rule ^ ": second consecutive enters") (rule ^ ":3") (obs 3 3);
+      check_string (rule ^ ": entry value stands") (rule ^ ":3") (obs 4 1))
+    [ ("txn.in_doubt", "txn_stuck"); ("cluster.shards_remaining", "rebalancing") ]
+
+let test_health_full_precedence () =
+  (* every condition the table knows, peeled off one snapshot at a time:
+     each row drops the rule that won the row before *)
+  let h = Health.create () in
+  List.iteri
+    (fun at (expect, sheds, offered, sync, in_doubt, churn) ->
+      check_string expect expect
+        (label
+           (Health.observe h
+              (snap_of at
+                 [
+                   ("sched.sheds", sheds);
+                   ("sched.offered", offered);
+                   ("mirror.sync_state", sync);
+                   ("mirror.sectors_remaining", 7);
+                   ("txn.in_doubt", in_doubt);
+                   ("lease.churn", churn);
+                   ("cluster.shards_remaining", 9);
+                 ]))))
+    [
+      ("healthy", 0, 0, 0, 2, 0);
+      ("overloaded:50", 50, 100, 1, 2, 3);
+      ("degraded:7", 50, 200, 1, 2, 6);
+      ("txn_stuck:2", 50, 300, 0, 2, 9);
+      ("lease_churning", 50, 400, 0, 0, 12);
+      ("rebalancing:9", 50, 500, 0, 0, 12);
+    ]
 
 let test_slo_burn_hysteresis () =
   let slo =
@@ -352,9 +404,9 @@ let test_storm_scenario_deterministic () =
   check_bool "sched reports identical" true (report1 = report2);
   (* the transition shape is the storm signature *)
   (match List.map snd scenario1.Experiments.ms_transitions with
-  | Health.Healthy :: Health.Overloaded { shed_rate } :: _ ->
+  | { Health.rule = "healthy"; _ } :: { rule = "overloaded"; value = Some shed_rate } :: _ ->
     check_bool "shed rate positive" true (shed_rate > 0)
-  | _ -> Alcotest.fail "storm must enter Overloaded from Healthy");
+  | _ -> Alcotest.fail "storm must enter overloaded from healthy");
   (* the registry instruments ARE the report tallies *)
   match List.rev scenario1.Experiments.ms_snapshots with
   | [] -> Alcotest.fail "no snapshots scraped"
@@ -377,6 +429,10 @@ let suite =
       Alcotest.test_case "health flap resets streak" `Quick test_health_flap_resets_streak;
       Alcotest.test_case "health overload precedence" `Quick test_health_overload_precedence;
       Alcotest.test_case "health churn threshold" `Quick test_health_churn_threshold;
+      Alcotest.test_case "health first snapshot is a baseline" `Quick
+        test_health_first_snapshot_baseline;
+      Alcotest.test_case "health entry streaks" `Quick test_health_entry_streaks;
+      Alcotest.test_case "health full precedence" `Quick test_health_full_precedence;
       Alcotest.test_case "slo burn hysteresis" `Quick test_slo_burn_hysteresis;
       Alcotest.test_case "slo delta baseline" `Quick test_slo_delta_baseline;
       Alcotest.test_case "slo validation" `Quick test_slo_validation;

@@ -195,7 +195,7 @@ let test_p_factor_above_drive_count_rejected () =
   let _rig, server = make () in
   expect_error Status.Bad_request (Server.create server ~p_factor:3 (payload 10))
 
-let test_p0_create_lost_on_crash () =
+let test_p0_create_lost_at_crash () =
   let rig, server = make () in
   let cap = ok_exn (Server.create server ~p_factor:0 (payload 1000)) in
   Server.crash server;
@@ -436,7 +436,7 @@ let suite =
       Alcotest.test_case "p=0 faster than p=1" `Quick test_p_factor_zero_faster_than_one;
       Alcotest.test_case "p-factor above drive count rejected" `Quick
         test_p_factor_above_drive_count_rejected;
-      Alcotest.test_case "p=0 create lost on crash" `Quick test_p0_create_lost_on_crash;
+      Alcotest.test_case "p=0 create lost on crash" `Quick test_p0_create_lost_at_crash;
       Alcotest.test_case "p=1 create survives crash" `Quick test_p1_create_survives_crash;
       Alcotest.test_case "dead server refuses requests" `Quick test_dead_server_refuses;
       Alcotest.test_case "bad sector fails over to replica" `Quick test_bad_sector_failover;

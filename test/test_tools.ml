@@ -111,18 +111,19 @@ let test_fsck_clean_after_crash_reboot () =
         |> fun p -> Plan.at p ~us:crash_at Plan.Server_crash
         |> fun p -> Plan.at p ~us:(crash_at + 200_000) Plan.Server_reboot
       in
-      let on_crash () =
-        Amoeba_rpc.Transport.unregister b.transport port;
-        Server.crash !server
-      in
-      let on_reboot () =
-        let booted, _ = Result.get_ok (Server.start ~config:small_bullet_config b.rig.mirror) in
-        server := booted;
-        Bullet_core.Proto.serve booted b.transport
+      let act : Plan.event -> unit = function
+        | Server_crash ->
+          Amoeba_rpc.Transport.unregister b.transport port;
+          Server.crash !server
+        | Server_reboot ->
+          let booted, _ = Result.get_ok (Server.start ~config:small_bullet_config b.rig.mirror) in
+          server := booted;
+          Bullet_core.Proto.serve booted b.transport
+        | _ -> ()
       in
       let injector =
-        Amoeba_fault.Injector.attach ~transport:b.transport ~mirror:b.rig.mirror ~on_crash
-          ~on_reboot ~clock:b.rig.clock plan
+        Amoeba_fault.Injector.attach ~transport:b.transport ~mirror:b.rig.mirror ~act
+          ~clock:b.rig.clock plan
       in
       Amoeba_sim.Clock.advance b.rig.clock 1_000;
       (* reads ride out the outage on retries *)
