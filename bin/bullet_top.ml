@@ -1,7 +1,7 @@
 (* bullet_top: a terminal dashboard over the metrics layer.
 
      bullet_top --replay            deterministic render of the METRICS
-                                    experiment (CI double-runs and diffs it)
+                                    experiment (golden under dune runtest)
      bullet_top [--port N]          one STD_STATUS snapshot from a bulletd
      bullet_top --watch 2 [--port]  poll and redraw every 2 s
 
@@ -12,7 +12,9 @@
    Everything it prints derives from the virtual clock, so two runs are
    byte-identical. *)
 
-module E = Experiments
+module E = Experiments.Common
+module Mx = Experiments.Metrics
+module Cl = Experiments.Cluster
 module Metrics = Amoeba_metrics.Metrics
 module Health = Amoeba_metrics.Health
 module Message = Amoeba_rpc.Message
@@ -89,19 +91,19 @@ let render_scenario (s : E.metrics_scenario) =
 let replay () =
   print_endline "bullet_top --replay: the METRICS experiment, rendered";
   print_newline ();
-  let r = E.metrics_experiment () in
-  List.iter render_scenario r.E.mx_scenarios;
-  Printf.printf "STD_STATUS: %d metrics in %d bytes, codec roundtrip %s\n" r.E.mx_status_metrics
-    r.E.mx_status_bytes
-    (if r.E.mx_roundtrip_ok then "ok" else "BROKEN");
+  let r = Mx.metrics_experiment () in
+  List.iter render_scenario r.Mx.mx_scenarios;
+  Printf.printf "STD_STATUS: %d metrics in %d bytes, codec roundtrip %s\n" r.Mx.mx_status_metrics
+    r.Mx.mx_status_bytes
+    (if r.Mx.mx_roundtrip_ok then "ok" else "BROKEN");
   print_newline ();
-  let c = E.cluster_experiment () in
-  render_scenario c.E.cl_scenario;
+  let c = Cl.cluster_experiment () in
+  render_scenario c.Cl.cl_scenario;
   Printf.printf
     "CLUSTER: %d objects on %d live servers, %d migrated, %d fallthrough (%d repaired), \
      under-replicated %d\n"
-    c.E.cl_objects c.E.cl_live_servers c.E.cl_migrated c.E.cl_fallthroughs c.E.cl_read_repairs
-    c.E.cl_under_final
+    c.Cl.cl_objects c.Cl.cl_live_servers c.Cl.cl_migrated c.Cl.cl_fallthroughs c.Cl.cl_read_repairs
+    c.Cl.cl_under_final
 
 (* ---- live mode: STD_STATUS over TCP ---- *)
 

@@ -157,9 +157,9 @@ let run size attrib out load_path chrome only_trace sched lease =
       Printf.printf
         "lease scenario: grant, zero-RPC cache hits, expiry+renewal, revocation after a \
          replace, failed read after removal\n";
-      Sink.spans (Experiments.lease_trace ())
+      Sink.spans (Experiments.Lease.lease_trace ())
     | None, true, _ ->
-      let sink, report = Experiments.load_sched_trace () in
+      let sink, report = Experiments.Load.load_sched_trace () in
       Printf.printf
         "sched scenario: overloaded deterministic run - %d attempts offered, %d completed, %d \
          shed, %d deadline misses, %.1f req/s goodput\n"
@@ -287,7 +287,7 @@ let cmd =
   Cmd.v (Cmd.info "bullet_trace" ~doc)
     Term.(const run $ size $ attrib $ out $ load_path $ chrome $ only_trace $ sched $ lease)
 
-(* Under AMOEBA_TIE_CHECK=1 (the CI determinism double-run jobs), turn a
+(* Under AMOEBA_TIE_CHECK=1 (every golden rule in determinism/golden), turn a
    clean run into a failure if any scenario scheduled two same-time
    events without pinning their relative order. *)
 let check_ties code =

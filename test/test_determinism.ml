@@ -1,11 +1,13 @@
-(* The repo's core invariant, asserted directly: running the FAULTS
-   bench scenario twice in one process — same plans, same seeds — must
-   produce byte-identical stats dumps. CI diffs two separate processes;
+(* The repo's core invariant, asserted in-process: running the FAULTS
+   and RESYNC bench scenarios twice in one process — same plans, same
+   seeds — must produce byte-identical dumps. The goldens under
+   determinism/golden/ pin each section's output from a fresh process;
    this test catches in-process leaks (global mutable state, hash-order
-   dependence) that a fresh-process diff can hide. *)
+   dependence) that a fresh-process run cannot see. *)
 
 open Helpers
-module E = Experiments
+module E = Experiments.Faults
+module R = Experiments.Resync
 
 let dump_availability (a : E.availability_report) =
   Printf.sprintf "avail ops=%d failed=%d p99=%.6f/%.6f degraded=%d resync=%.6f" a.E.avail_ops
@@ -58,39 +60,39 @@ let test_faults_double_run () =
    link faults and the directory-pair crash; its windowed percentiles
    and canonical replica dumps must likewise be a pure function of the
    plans. *)
-let dump_resync_windows (r : E.resync_report) =
+let dump_resync_windows (r : R.resync_report) =
   String.concat "\n"
     (Printf.sprintf
        "resync ops=%d failed=%d repairs=%d fallthroughs=%d steps=%d sectors=%d \
         online=%.6f step=%.6f normal=%.6f max=%.6f clean=%b"
-       r.E.rw_ops r.E.rw_failed r.E.rw_read_repairs r.E.rw_fallthroughs r.E.rw_resync_steps
-       r.E.rw_resync_sectors r.E.rw_online_resync_ms r.E.rw_step_cost_ms r.E.rw_normal_max_ms
-       r.E.rw_max_op_ms r.E.rw_clean_at_end
+       r.R.rw_ops r.R.rw_failed r.R.rw_read_repairs r.R.rw_fallthroughs r.R.rw_resync_steps
+       r.R.rw_resync_sectors r.R.rw_online_resync_ms r.R.rw_step_cost_ms r.R.rw_normal_max_ms
+       r.R.rw_max_op_ms r.R.rw_clean_at_end
     :: List.map
-         (fun (w : E.resync_window) ->
-           Printf.sprintf "w%d %s rem=%d ops=%d p50=%.6f p95=%.6f p99=%.6f" w.E.w_start_ms
-             w.E.w_state w.E.w_remaining w.E.w_ops w.E.w_p50_ms w.E.w_p95_ms w.E.w_p99_ms)
-         r.E.rw_windows)
+         (fun (w : R.resync_window) ->
+           Printf.sprintf "w%d %s rem=%d ops=%d p50=%.6f p95=%.6f p99=%.6f" w.R.w_start_ms
+             w.R.w_state w.R.w_remaining w.R.w_ops w.R.w_p50_ms w.R.w_p95_ms w.R.w_p99_ms)
+         r.R.rw_windows)
 
-let dump_wan (w : E.wan_fault_report) =
+let dump_wan (w : R.wan_fault_report) =
   Printf.sprintf
     "wan wide=%d/%d part=%d/%d healed=%b local=%d/%d drops=%d/%d/%d retries=%d quiet=%d faulted=%d"
-    w.E.wf_wide_failed w.E.wf_wide_ops w.E.wf_partition_failed w.E.wf_partition_ops w.E.wf_healed_ok
-    w.E.wf_local_failed w.E.wf_local_ops w.E.wf_link_request_drops w.E.wf_link_reply_drops
-    w.E.wf_partition_drops w.E.wf_retries w.E.wf_quiet_local_us w.E.wf_faulted_local_us
+    w.R.wf_wide_failed w.R.wf_wide_ops w.R.wf_partition_failed w.R.wf_partition_ops w.R.wf_healed_ok
+    w.R.wf_local_failed w.R.wf_local_ops w.R.wf_link_request_drops w.R.wf_link_reply_drops
+    w.R.wf_partition_drops w.R.wf_retries w.R.wf_quiet_local_us w.R.wf_faulted_local_us
 
-let dump_pair (p : E.pair_report) =
-  Printf.sprintf "pair ops=%d failed=%d outage=%d diverged=%s match=%b healed=%b" p.E.pr_ops
-    p.E.pr_failed p.E.pr_outage_ops
-    (match p.E.pr_diverged with None -> "none" | Some path -> path)
-    p.E.pr_state_match p.E.pr_healed
+let dump_pair (p : R.pair_report) =
+  Printf.sprintf "pair ops=%d failed=%d outage=%d diverged=%s match=%b healed=%b" p.R.pr_ops
+    p.R.pr_failed p.R.pr_outage_ops
+    (match p.R.pr_diverged with None -> "none" | Some path -> path)
+    p.R.pr_state_match p.R.pr_healed
 
 let resync_dump () =
   String.concat "\n"
     [
-      dump_resync_windows (E.resync_experiment ());
-      dump_wan (E.wan_fault_experiment ());
-      dump_pair (E.dir_pair_recovery ());
+      dump_resync_windows (R.resync_experiment ());
+      dump_wan (R.wan_fault_experiment ());
+      dump_pair (R.dir_pair_recovery ());
     ]
 
 let test_resync_double_run () =

@@ -387,28 +387,28 @@ let test_trace_metrics_agree () =
 (* ---- double-run determinism of a full scenario ---- *)
 
 let test_storm_scenario_deterministic () =
-  let scenario1, report1 = Experiments.metrics_overload_storm () in
-  let scenario2, report2 = Experiments.metrics_overload_storm () in
+  let scenario1, report1 = Experiments.Metrics.metrics_overload_storm () in
+  let scenario2, report2 = Experiments.Metrics.metrics_overload_storm () in
   let wire s =
     String.concat ""
       (List.map
          (fun snap -> Bytes.to_string (Metrics.encode_snapshot snap))
-         s.Experiments.ms_snapshots)
+         s.Experiments.Common.ms_snapshots)
   in
   check_bool "snapshots byte-identical across runs" true
     (String.equal (wire scenario1) (wire scenario2));
   check_bool "transitions identical" true
-    (scenario1.Experiments.ms_transitions = scenario2.Experiments.ms_transitions);
+    (scenario1.Experiments.Common.ms_transitions = scenario2.Experiments.Common.ms_transitions);
   check_bool "alert edges identical" true
-    (scenario1.Experiments.ms_alerts = scenario2.Experiments.ms_alerts);
+    (scenario1.Experiments.Common.ms_alerts = scenario2.Experiments.Common.ms_alerts);
   check_bool "sched reports identical" true (report1 = report2);
   (* the transition shape is the storm signature *)
-  (match List.map snd scenario1.Experiments.ms_transitions with
+  (match List.map snd scenario1.Experiments.Common.ms_transitions with
   | { Health.rule = "healthy"; _ } :: { rule = "overloaded"; value = Some shed_rate } :: _ ->
     check_bool "shed rate positive" true (shed_rate > 0)
   | _ -> Alcotest.fail "storm must enter overloaded from healthy");
   (* the registry instruments ARE the report tallies *)
-  match List.rev scenario1.Experiments.ms_snapshots with
+  match List.rev scenario1.Experiments.Common.ms_snapshots with
   | [] -> Alcotest.fail "no snapshots scraped"
   | final :: _ ->
     check_int "offered tally matches the final scrape"

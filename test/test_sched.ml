@@ -193,8 +193,8 @@ let test_profile_cycling () =
 
 (* Identical configurations give byte-identical reports and traces. *)
 let test_double_run_identity () =
-  let sink1, r1 = Experiments.load_sched_trace () in
-  let sink2, r2 = Experiments.load_sched_trace () in
+  let sink1, r1 = Experiments.Load.load_sched_trace () in
+  let sink2, r2 = Experiments.Load.load_sched_trace () in
   check_bool "reports identical" true (r1 = r2);
   check_string "traces byte-identical" (Sink.to_jsonl sink1) (Sink.to_jsonl sink2);
   check_bool "trace is non-trivial" true (Sink.length sink1 > 50)
@@ -202,7 +202,7 @@ let test_double_run_identity () =
 (* Sched traces flow through the span toolchain: roots are sched.attempt,
    serve spans carry station layers, and attribution balances. *)
 let test_sched_trace_attributes () =
-  let sink, r = Experiments.load_sched_trace () in
+  let sink, r = Experiments.Load.load_sched_trace () in
   let spans = Sink.spans sink in
   let roots = List.filter (fun (s : Sink.span) -> s.Sink.parent_id = 0) spans in
   check_bool "every root is an attempt" true
@@ -374,15 +374,15 @@ let test_matches_reference () =
     fixtures
 
 let test_scale_experiment_shape () =
-  let r = Experiments.scale_experiment ~client_counts:[ 1; 64 ] () in
+  let r = Experiments.Scale.scale_experiment ~client_counts:[ 1; 64 ] () in
   check_bool "bullet demand below nfs demand" true
-    (r.Experiments.bullet_service_us < r.Experiments.nfs_service_us);
+    (r.Experiments.Scale.bullet_service_us < r.Experiments.Scale.nfs_service_us);
   check_bool "bullet knee much higher" true
-    (r.Experiments.bullet_knee > 5. *. r.Experiments.nfs_knee);
-  match (r.Experiments.bullet_points, r.Experiments.nfs_points) with
+    (r.Experiments.Scale.bullet_knee > 5. *. r.Experiments.Scale.nfs_knee);
+  match (r.Experiments.Scale.bullet_points, r.Experiments.Scale.nfs_points) with
   | [ _; b64 ], [ _; n64 ] ->
     check_bool "at 64 clients bullet outruns nfs" true
-      (b64.Experiments.throughput_per_sec > 5. *. n64.Experiments.throughput_per_sec)
+      (b64.Experiments.Scale.throughput_per_sec > 5. *. n64.Experiments.Scale.throughput_per_sec)
   | _ -> Alcotest.fail "expected two points each"
 
 (* The full LOAD experiment: demand profiles measured from the real
@@ -390,28 +390,28 @@ let test_scale_experiment_shape () =
    experiment itself raises if an acceptance invariant fails; the checks
    here restate the headline claims against the returned report. *)
 let test_load_experiment () =
-  let r = Experiments.load_experiment () in
-  let bullet = r.Experiments.lr_bullet in
+  let r = Experiments.Load.load_experiment () in
+  let bullet = r.Experiments.Load.lr_bullet in
   (* demand profiles partition the traced time exactly *)
   List.iter
-    (fun (p : Experiments.load_profile) ->
-      let sum = List.fold_left (fun a (_, us) -> a + us) 0 p.Experiments.lpr_segments in
-      check_int (p.Experiments.lpr_class ^ " segments sum to traced time")
-        p.Experiments.lpr_traced_us sum)
-    (bullet.Experiments.sl_profiles @ r.Experiments.lr_nfs.Experiments.sl_profiles);
+    (fun (p : Experiments.Load.load_profile) ->
+      let sum = List.fold_left (fun a (_, us) -> a + us) 0 p.Experiments.Load.lpr_segments in
+      check_int (p.Experiments.Load.lpr_class ^ " segments sum to traced time")
+        p.Experiments.Load.lpr_traced_us sum)
+    (bullet.Experiments.Load.sl_profiles @ r.Experiments.Load.lr_nfs.Experiments.Load.sl_profiles);
   (* (a) concurrency pays: knee throughput beats the serial bound *)
   check_bool "knee throughput beats serial cap" true
-    (bullet.Experiments.sl_knee_throughput > bullet.Experiments.sl_serial_cap_per_sec);
+    (bullet.Experiments.Load.sl_knee_throughput > bullet.Experiments.Load.sl_serial_cap_per_sec);
   (* (b) overload: shedding holds goodput near peak, blocking collapses *)
   let find name =
-    List.find (fun o -> o.Experiments.ov_policy = name) r.Experiments.lr_overload
+    List.find (fun o -> o.Experiments.Load.ov_policy = name) r.Experiments.Load.lr_overload
   in
-  let peak = r.Experiments.lr_peak_goodput in
-  check_bool "shed holds goodput" true ((find "shed").Experiments.ov_goodput >= 0.9 *. peak);
+  let peak = r.Experiments.Load.lr_peak_goodput in
+  check_bool "shed holds goodput" true ((find "shed").Experiments.Load.ov_goodput >= 0.9 *. peak);
   check_bool "deadline holds goodput" true
-    ((find "deadline").Experiments.ov_goodput >= 0.9 *. peak);
-  check_bool "block collapses" true ((find "block").Experiments.ov_goodput < 0.9 *. peak);
-  check_bool "block wastes work on late replies" true ((find "block").Experiments.ov_late > 0)
+    ((find "deadline").Experiments.Load.ov_goodput >= 0.9 *. peak);
+  check_bool "block collapses" true ((find "block").Experiments.Load.ov_goodput < 0.9 *. peak);
+  check_bool "block wastes work on late replies" true ((find "block").Experiments.Load.ov_late > 0)
 
 let suite =
   ( "sched",

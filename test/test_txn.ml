@@ -194,8 +194,8 @@ let test_fsck_spares_pending () =
 (* ---- the experiment, twice ---- *)
 
 let test_txn_experiment_deterministic () =
-  let first = Experiments.txn_dump (Experiments.txn_experiment ()) in
-  let second = Experiments.txn_dump (Experiments.txn_experiment ()) in
+  let first = Experiments.Txn.txn_dump (Experiments.Txn.txn_experiment ()) in
+  let second = Experiments.Txn.txn_dump (Experiments.Txn.txn_experiment ()) in
   check_string "double run is byte-identical" first second
 
 let suite =
