@@ -92,6 +92,10 @@ type immediate_report = {
   bullet_read_us : int;
 }
 
+(* ABL3 — reference [1]'s "immediate files" retrofitted onto the block
+   baseline: small-file operations touch only the inode.  Narrows the
+   small-file gap; leaves the large-file gap untouched (that one is the
+   Bullet design itself). *)
 let immediate_ablation () =
   let measure config =
     let { n_clock = clock; n_server = server; n_client = client; _ } = make_nfs_bed ~config () in

@@ -308,6 +308,11 @@ let cluster_bench_join c =
   Cluster.add_server c ~name:"dog" ~region:"east";
   ring_delta ~before ~after:(Cluster.ring c)
 
+(* The bench sweep behind the section: full-drain rebalance cost as the
+   object count grows (the delta-shard count stays ring-determined, so
+   time scales with the objects living in the delta), and goodput — the
+   same read mix — against a quiet cluster versus one draining a join
+   one bounded step per read.  All times are virtual. *)
 let cluster_bench () =
   let clock_of c = Cluster.clock c in
   let point n =
