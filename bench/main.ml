@@ -53,6 +53,27 @@ let micro () =
         Bullet_core.Cache.remove cache ~rnode
       | None -> ()
   in
+  (* A 64 KB file through a mirror into a cache that holds only it: each
+     run evicts the last load, reserves the extent and reads the sectors
+     straight into it, the server's miss path. *)
+  let cache_miss_load =
+    let size = 65_536 in
+    let clock = Amoeba_sim.Clock.create () in
+    let geometry = Amoeba_disk.Geometry.small ~sectors:256 in
+    let drive id = Amoeba_disk.Block_device.create ~id ~geometry ~clock in
+    let mirror = Amoeba_disk.Mirror.create [ drive "m1"; drive "m2" ] in
+    Amoeba_disk.Mirror.write mirror ~sync:2 ~sector:0 (Bytes.make size 'f');
+    let count = size / geometry.Amoeba_disk.Geometry.sector_bytes in
+    let cache =
+      Bullet_core.Cache.create ~capacity:size ~max_rnodes:4 ~on_evict:(fun ~inode:_ ~rnode:_ -> ())
+    in
+    fun () ->
+      match Bullet_core.Cache.reserve cache ~inode:1 size with
+      | Some rnode ->
+        Bullet_core.Cache.fill cache ~rnode (fun dst dst_off len ->
+            Amoeba_disk.Mirror.read_into mirror ~sector:0 ~count ~dst ~dst_off ~len)
+      | None -> ()
+  in
   let tests =
     [
       Test.make ~name:"xtea_seal" (Staged.stage (fun () -> ignore (Amoeba_cap.Sealer.seal sealer ~random ~rights)));
@@ -63,6 +84,7 @@ let micro () =
              ignore (Bullet_core.Layout.decode_inode inode_buf 0)));
       Test.make ~name:"extent_alloc_free_x32" (Staged.stage alloc_cycle);
       Test.make ~name:"cache_insert_get_remove_1k" (Staged.stage cache_cycle);
+      Test.make ~name:"cache_miss_load_64k" (Staged.stage cache_miss_load);
       Test.make ~name:"prng_next" (Staged.stage (fun () -> ignore (Amoeba_sim.Prng.next_int64 prng)));
     ]
   in

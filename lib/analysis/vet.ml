@@ -179,8 +179,8 @@ let scan_unit ~file ~modname (str : Typedtree.structure) =
       | Some "Clock", ("advance" | "advance_to" | "parallel" | "unobserved") ->
         fn.fn_advances <- true
       | Some "Clock", ("now" | "elapsed") -> fn.fn_reads <- true
-      | Some "Block_device", ("read" | "write" | "copy_from")
-      | Some "Mirror", ("read" | "write")
+      | Some "Block_device", ("read" | "read_into" | "write" | "copy_from")
+      | Some "Mirror", ("read" | "read_into" | "write")
       | Some "Worm_device", ("read" | "write" | "append")
       | Some "Event_queue", "push" ->
         fn.fn_device <- true

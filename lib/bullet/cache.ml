@@ -1,14 +1,18 @@
-type entry = { inode : int; mutable offset : int; length : int; mutable age : int }
+type entry = { inode : int; mutable offset : int; length : int }
 
 type t = {
   storage : Bytes.t;
   alloc : Extent_alloc.t;
   rnodes : entry option array; (* slot 0 unused: rnode indices are 1-based *)
+  (* The LRU order: a circular doubly linked list threaded through the
+     resident rnode indices, with index 0 as its sentinel. [next.(0)] is
+     the least recently used file, [prev.(0)] the most recent. *)
+  prev : int array;
+  next : int array;
   free_rnodes : int Stack.t;
   on_evict : inode:int -> rnode:int -> unit;
   stats : Amoeba_sim.Stats.t;
   evicted_bytes : int ref; (* the [bytes_evicted] cell of [stats] *)
-  mutable tick : int;
   mutable resident : int;
   mutable used : int;
   mutable tracer : Amoeba_trace.Trace.ctx option;
@@ -26,11 +30,12 @@ let create ~capacity ~max_rnodes ~on_evict =
     storage = Bytes.make capacity '\000';
     alloc = Extent_alloc.create ~start:0 ~length:capacity ();
     rnodes = Array.make (max_rnodes + 1) None;
+    prev = Array.make (max_rnodes + 1) 0;
+    next = Array.make (max_rnodes + 1) 0;
     free_rnodes;
     on_evict;
     stats;
     evicted_bytes = Amoeba_sim.Stats.counter stats "bytes_evicted";
-    tick = 0;
     resident = 0;
     used = 0;
     tracer = None;
@@ -44,9 +49,17 @@ let used_bytes t = t.used
 
 let resident_files t = t.resident
 
-let next_age t =
-  t.tick <- t.tick + 1;
-  t.tick
+let unlink t i =
+  let p = t.prev.(i) and n = t.next.(i) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
+
+let push_newest t i =
+  let last = t.prev.(0) in
+  t.next.(last) <- i;
+  t.prev.(i) <- last;
+  t.next.(i) <- 0;
+  t.prev.(0) <- i
 
 let entry t rnode =
   if rnode < 1 || rnode >= Array.length t.rnodes then
@@ -59,25 +72,16 @@ let drop t rnode =
   let e = entry t rnode in
   if e.length > 0 then Extent_alloc.free t.alloc ~start:e.offset ~length:e.length;
   t.rnodes.(rnode) <- None;
+  unlink t rnode;
   Stack.push rnode t.free_rnodes;
   t.resident <- t.resident - 1;
   t.used <- t.used - e.length
 
-let lru t =
-  let best = ref None in
-  Array.iteri
-    (fun i slot ->
-      match (slot, !best) with
-      | None, _ -> ()
-      | Some e, None -> best := Some (i, e)
-      | Some e, Some (_, b) -> if e.age < b.age then best := Some (i, e))
-    t.rnodes;
-  !best
-
 let evict_one t =
-  match lru t with
-  | None -> false
-  | Some (rnode, e) ->
+  match t.next.(0) with
+  | 0 -> false
+  | rnode ->
+    let e = entry t rnode in
     drop t rnode;
     t.on_evict ~inode:e.inode ~rnode;
     Amoeba_sim.Stats.incr t.stats "evictions";
@@ -105,7 +109,8 @@ let make_room t ~inode n =
   | Some offset ->
     let rnode = Stack.pop t.free_rnodes in
     let offset = if n = 0 then 0 else offset in
-    t.rnodes.(rnode) <- Some { inode; offset; length = n; age = next_age t };
+    t.rnodes.(rnode) <- Some { inode; offset; length = n };
+    push_newest t rnode;
     t.resident <- t.resident + 1;
     t.used <- t.used + n;
     Amoeba_sim.Stats.incr t.stats "insertions";
@@ -123,22 +128,24 @@ let insert t ~inode data =
     Bytes.blit data 0 t.storage e.offset e.length;
     Some rnode
 
+let refresh t rnode =
+  unlink t rnode;
+  push_newest t rnode
+
 let get t ~rnode =
   let e = entry t rnode in
-  e.age <- next_age t;
+  refresh t rnode;
   Bytes.sub t.storage e.offset e.length
 
 let sub t ~rnode ~pos ~len =
   let e = entry t rnode in
   if pos < 0 || len < 0 || pos + len > e.length then invalid_arg "Cache.sub: range out of bounds";
-  e.age <- next_age t;
+  refresh t rnode;
   Bytes.sub t.storage (e.offset + pos) len
 
-let blit_in t ~rnode ~pos data =
+let fill t ~rnode f =
   let e = entry t rnode in
-  let len = Bytes.length data in
-  if pos < 0 || pos + len > e.length then invalid_arg "Cache.blit_in: range out of bounds";
-  Bytes.blit data 0 t.storage (e.offset + pos) len
+  f t.storage e.offset e.length
 
 let inode_of t ~rnode = (entry t rnode).inode
 
@@ -148,7 +155,9 @@ let remove t ~rnode =
   let (_ : entry) = entry t rnode in
   drop t rnode
 
-let touch t ~rnode = (entry t rnode).age <- next_age t
+let touch t ~rnode =
+  let (_ : entry) = entry t rnode in
+  refresh t rnode
 
 let compact t =
   (* Collect resident segments in address order and slide each down to the

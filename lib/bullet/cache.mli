@@ -3,11 +3,14 @@
     "All of the server's remaining memory will be used for file caching."
     Files are kept {e contiguous} in cache memory. A separate table of
     {e rnodes} administers cached files: each rnode holds the inode index
-    of the file, a pointer (offset) into cache memory, and an age field
-    for LRU replacement. Free cache memory and free rnodes are kept on
-    free lists; when space runs out the least-recently-used file is
-    evicted (paper §3). Because files are contiguous, the cache can be
-    compacted by sliding segments together. *)
+    of the file and a pointer (offset) into cache memory. The paper gives
+    each rnode an age field for LRU replacement; here the rnodes are
+    threaded on a doubly linked list in order of last use instead, so
+    finding the least-recently-used file costs O(1) rather than a scan of
+    the table, and picks the same file the smallest age would. Free cache
+    memory and free rnodes are kept on free lists; when space runs out the
+    least-recently-used file is evicted (paper §3). Because files are
+    contiguous, the cache can be compacted by sliding segments together. *)
 
 type t
 
@@ -38,19 +41,24 @@ val insert : t -> inode:int -> bytes -> int option
 
 val reserve : t -> inode:int -> int -> int option
 (** [reserve t ~inode n] is {!insert} without supplying data: it allocates
-    [n] bytes of zeroed cache space for the file (the caller then fills it
-    with {!blit_in}); used when loading from disk. *)
+    [n] bytes of cache space for the file, evicting as {!insert} does, and
+    makes it the most recently used. The caller then loads the file's
+    bytes into that space with {!fill}; used when loading from disk. *)
+
+val fill : t -> rnode:int -> (bytes -> int -> int -> 'a) -> 'a
+(** [fill t ~rnode f] calls [f buf off len] where [buf.(off) .. buf.(off +
+    len - 1)] is the file's extent in cache memory, so a disk read can land
+    there without an intermediate buffer. [f] may write only inside that
+    range and must not call back into the cache. Does not refresh the
+    file's LRU position. Raises [Invalid_argument] on a free rnode. *)
 
 val get : t -> rnode:int -> bytes
-(** Copy of the cached file; refreshes its LRU age.
-    Raises [Invalid_argument] on a free rnode. *)
+(** Copy of the cached file, the reply body; makes the file the most
+    recently used. Raises [Invalid_argument] on a free rnode. *)
 
 val sub : t -> rnode:int -> pos:int -> len:int -> bytes
-(** Copy of a byte range of the cached file; refreshes its age. *)
-
-val blit_in : t -> rnode:int -> pos:int -> bytes -> unit
-(** Overwrite a range of the cached file in place (used by load-from-disk
-    and by the MODIFY path before write-through). *)
+(** Copy of a byte range of the cached file; makes the file the most
+    recently used. *)
 
 val inode_of : t -> rnode:int -> int
 (** Which inode a resident rnode belongs to. *)
@@ -66,7 +74,7 @@ val compact : t -> int
     indices are stable across compaction. *)
 
 val touch : t -> rnode:int -> unit
-(** Refresh a file's LRU age without reading it. *)
+(** Make a file the most recently used without reading it. *)
 
 val stats : t -> Amoeba_sim.Stats.t
 (** Counters: [insertions], [evictions], [compactions], [bytes_moved],

@@ -278,11 +278,11 @@ let ensure_cached t obj inode =
     match Cache.reserve t.cache ~inode:obj size with
     | None -> Error Status.No_space
     | Some rnode ->
-      if size > 0 then begin
-        let blocks = blocks_of t size in
-        let raw = Amoeba_disk.Mirror.read t.mirror ~sector:inode.Layout.first_block ~count:blocks in
-        Cache.blit_in t.cache ~rnode ~pos:0 (Bytes.sub raw 0 size)
-      end;
+      (* one copy: the drive's sectors land straight in the reserved extent *)
+      if size > 0 then
+        Cache.fill t.cache ~rnode (fun dst dst_off len ->
+            Amoeba_disk.Mirror.read_into t.mirror ~sector:inode.Layout.first_block
+              ~count:(blocks_of t size) ~dst ~dst_off ~len);
       Inode_table.set t.table obj { inode with Layout.index = rnode };
       Ok rnode
   end

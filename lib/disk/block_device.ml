@@ -100,8 +100,11 @@ let check_health t ~sector ~count ~write ~op =
     raise (Failure (Printf.sprintf "%s: transient error at sector %d during %s" t.device_id sector op))
   | _ -> ()
 
-let read t ~sector ~count =
+let read_into t ~sector ~count ~dst ~dst_off ~len =
   check_range t ~sector ~count ~op:"read";
+  let sector_bytes = t.geometry.Geometry.sector_bytes in
+  if len < 0 || len > count * sector_bytes || dst_off < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "Block_device.read_into: destination range out of bounds";
   check_health t ~sector ~count ~write:false ~op:"read";
   (match t.tracer with
   | None -> ()
@@ -114,8 +117,14 @@ let read t ~sector ~count =
       [ ("drive", Amoeba_trace.Sink.S t.device_id); ("sectors", Amoeba_trace.Sink.I count) ]);
   Amoeba_sim.Stats.incr t.stats "reads";
   Amoeba_sim.Stats.add t.stats "sectors_read" count;
-  let sector_bytes = t.geometry.Geometry.sector_bytes in
-  Bytes.sub t.storage (sector * sector_bytes) (count * sector_bytes)
+  Bytes.blit t.storage (sector * sector_bytes) dst dst_off len
+
+let read t ~sector ~count =
+  check_range t ~sector ~count ~op:"read";
+  let len = count * t.geometry.Geometry.sector_bytes in
+  let dst = Bytes.create len in
+  read_into t ~sector ~count ~dst ~dst_off:0 ~len;
+  dst
 
 let write t ~sector data =
   let sector_bytes = t.geometry.Geometry.sector_bytes in

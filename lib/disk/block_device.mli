@@ -30,6 +30,15 @@ val read : t -> sector:int -> count:int -> bytes
     charging access time. Raises {!Failure} if the drive is failed or the
     range covers a bad sector, [Invalid_argument] if out of range. *)
 
+val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** [read_into t ~sector ~count ~dst ~dst_off ~len] is {!read} that lands
+    the first [len] bytes of the [count] sectors in [dst] at [dst_off]
+    instead of allocating: the same checks, access charge, stats, head
+    movement and [disk.read] span, because the drive still transfers
+    whole sectors. [len] may stop short of the last sector's end. On any
+    exception [dst] is untouched. Raises [Invalid_argument] if [len]
+    exceeds [count] sectors or the destination range is out of [dst]. *)
+
 val write : t -> sector:int -> bytes -> unit
 (** [write t ~sector data] writes [data] — whose length must be a positive
     multiple of the sector size — starting at [sector], charging access

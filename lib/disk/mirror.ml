@@ -123,9 +123,10 @@ let pending_count t = Queue.length t.pending
 (* Serve a read from the first live slot that holds current bytes for the
    range. A resyncing slot whose range is still dirty is passed over
    (its bytes are stale) and remembered: once a good source answered, the
-   data is written back to every passed-over slot off the measured path —
-   the read-repair that lets foreground traffic shrink the resync
-   backlog instead of waiting behind it. *)
+   whole sectors are written back to every passed-over slot off the
+   measured path — the read-repair that lets foreground traffic shrink
+   the resync backlog instead of waiting behind it. The repair takes its
+   bytes from the good drive uncharged, as the write is. *)
 let read_repair t slot ~sector data =
   Amoeba_sim.Stats.incr t.stats "read_repairs";
   (match t.tracer with
@@ -145,18 +146,21 @@ let read_repair t slot ~sector data =
     check_complete t slot
   | exception Block_device.Failure _ -> ()
 
-let rec read_from t ~sector ~count ~stale = function
+let rec read_from t ~sector ~count ~dst ~dst_off ~len ~stale = function
   | [] -> raise No_live_drive
   | slot :: others ->
     if slot.syncing && Dirty.is_dirty slot.dirty ~sector ~count then begin
       Amoeba_sim.Stats.incr t.stats "resync_fallthroughs";
-      read_from t ~sector ~count ~stale:(slot :: stale) others
+      read_from t ~sector ~count ~dst ~dst_off ~len ~stale:(slot :: stale) others
     end
     else begin
-      match Block_device.read slot.device ~sector ~count with
-      | data ->
-        List.iter (fun s -> read_repair t s ~sector data) (List.rev stale);
-        data
+      match Block_device.read_into slot.device ~sector ~count ~dst ~dst_off ~len with
+      | () -> (
+        match List.rev stale with
+        | [] -> ()
+        | stale ->
+          let data = Block_device.peek slot.device ~sector ~count in
+          List.iter (fun s -> read_repair t s ~sector data) stale)
       | exception Block_device.Failure _ ->
         Amoeba_sim.Stats.incr t.stats "read_failovers";
         (match t.tracer with
@@ -164,15 +168,15 @@ let rec read_from t ~sector ~count ~stale = function
         | Some tr ->
           Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.failover"
             [ ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device)) ]);
-        read_from t ~sector ~count ~stale others
+        read_from t ~sector ~count ~dst ~dst_off ~len ~stale others
     end
 
-let read t ~sector ~count =
+let read_into t ~sector ~count ~dst ~dst_off ~len =
   match t.tracer with
   | None ->
     drain t;
     if live_count t < Array.length t.slots then Amoeba_sim.Stats.incr t.stats "degraded_reads";
-    read_from t ~sector ~count ~stale:[] (live_slots t)
+    read_from t ~sector ~count ~dst ~dst_off ~len ~stale:[] (live_slots t)
   | Some tr ->
     Amoeba_trace.Trace.in_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.read" (fun () ->
         drain t;
@@ -180,7 +184,13 @@ let read t ~sector ~count =
           Amoeba_sim.Stats.incr t.stats "degraded_reads";
           Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.degraded" []
         end;
-        read_from t ~sector ~count ~stale:[] (live_slots t))
+        read_from t ~sector ~count ~dst ~dst_off ~len ~stale:[] (live_slots t))
+
+let read t ~sector ~count =
+  let len = count * (geometry t).Geometry.sector_bytes in
+  let dst = Bytes.create len in
+  read_into t ~sector ~count ~dst ~dst_off:0 ~len;
+  dst
 
 let write_live t ~sync ~sector data =
   let count = sector_count_of t data in

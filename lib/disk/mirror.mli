@@ -59,6 +59,14 @@ val read : t -> sector:int -> count:int -> bytes
     good source has answered the data is written back to it off the
     measured path (read-repair), clearing the range. *)
 
+val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** {!read} that lands the first [len] bytes of the [count] sectors in
+    [dst] at [dst_off] ({!Block_device.read_into}): the same drain,
+    failover, resync fall-through, charge, stats and [mirror.read] span.
+    Read-repair still writes whole sectors to a stale drive, taken from
+    the good drive without a charge. {!read} allocates its result and
+    calls this. *)
+
 val write : t -> sync:int -> sector:int -> bytes -> unit
 (** [write t ~sync ~sector data] writes to every live drive. The [sync]
     first writes (clamped to the live count) proceed in parallel on the

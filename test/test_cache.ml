@@ -91,12 +91,16 @@ let test_sub_out_of_range () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-let test_reserve_and_blit () =
+let test_reserve_and_fill () =
   let cache, _ = make () in
-  let rnode = Option.get (Cache.reserve cache ~inode:1 11) in
-  Cache.blit_in cache ~rnode ~pos:0 (Bytes.of_string "hello");
-  Cache.blit_in cache ~rnode ~pos:5 (Bytes.of_string " world");
-  check_string "assembled" "hello world" (Bytes.to_string (Cache.get cache ~rnode))
+  let _r1 = Option.get (Cache.insert cache ~inode:1 (payload 7)) in
+  let rnode = Option.get (Cache.reserve cache ~inode:2 11) in
+  Cache.fill cache ~rnode (fun buf off len ->
+      check_int "extent length" 11 len;
+      Bytes.blit_string "hello" 0 buf off 5;
+      Bytes.blit_string " world" 0 buf (off + 5) 6);
+  check_string "assembled" "hello world" (Bytes.to_string (Cache.get cache ~rnode));
+  check_bytes "neighbour intact" (payload 7) (Cache.get cache ~rnode:_r1)
 
 let test_compaction_preserves_contents () =
   let cache, _ = make ~capacity:500 () in
@@ -155,6 +159,107 @@ let prop_model =
       List.iter step sizes;
       !ok)
 
+(* Seeded model: random operation sequences, with every eviction checked
+   against the min-age scan over the rnode table that the cache used to
+   run, kept here as the oracle. *)
+module Prng = Amoeba_sim.Prng
+
+let run_lru_model seed =
+  let capacity = 600 and max_rnodes = 6 in
+  let prng = Prng.create ~seed in
+  (* rnode -> (inode, age, contents) *)
+  let model = Hashtbl.create 16 in
+  let tick = ref 0 in
+  let age () =
+    incr tick;
+    !tick
+  in
+  let oldest () =
+    Hashtbl.fold
+      (fun rnode (_, a, _) best ->
+        match best with Some (_, b) when b <= a -> best | _ -> Some (rnode, a))
+      model None
+  in
+  let on_evict ~inode ~rnode =
+    match oldest () with
+    | Some (expected, _) when expected = rnode ->
+      let model_inode, _, _ = Hashtbl.find model rnode in
+      check_int "evicted inode" model_inode inode;
+      Hashtbl.remove model rnode
+    | Some (expected, _) -> Alcotest.failf "seed %Ld: evicted rnode %d, oracle says %d" seed rnode expected
+    | None -> Alcotest.failf "seed %Ld: eviction from an empty model" seed
+  in
+  let cache = Cache.create ~capacity ~max_rnodes ~on_evict in
+  let next_inode = ref 0 in
+  let resident () = List.sort Int.compare (Hashtbl.fold (fun r _ acc -> r :: acc) model []) in
+  let pick () =
+    match resident () with [] -> None | rs -> Some (List.nth rs (Prng.int prng (List.length rs)))
+  in
+  let refresh rnode =
+    let inode, _, data = Hashtbl.find model rnode in
+    Hashtbl.replace model rnode (inode, age (), data)
+  in
+  let add size place =
+    incr next_inode;
+    let data = Prng.bytes prng size in
+    match place !next_inode data with
+    | Some rnode -> Hashtbl.replace model rnode (!next_inode, age (), data)
+    | None -> if size <= capacity then Alcotest.failf "seed %Ld: %d bytes did not fit" seed size
+  in
+  for _ = 1 to 300 do
+    match Prng.int prng 7 with
+    | 0 -> add (Prng.int prng 250) (fun inode data -> Cache.insert cache ~inode data)
+    | 1 ->
+      add (Prng.int prng 250) (fun inode data ->
+          let r = Cache.reserve cache ~inode (Bytes.length data) in
+          Option.iter
+            (fun rnode ->
+              Cache.fill cache ~rnode (fun buf off len -> Bytes.blit data 0 buf off len))
+            r;
+          r)
+    | 2 ->
+      Option.iter
+        (fun rnode ->
+          let _, _, data = Hashtbl.find model rnode in
+          refresh rnode;
+          check_bytes "get" data (Cache.get cache ~rnode))
+        (pick ())
+    | 3 ->
+      Option.iter
+        (fun rnode ->
+          let _, _, data = Hashtbl.find model rnode in
+          let n = Bytes.length data in
+          let pos = Prng.int prng (n + 1) in
+          let len = Prng.int prng (n - pos + 1) in
+          refresh rnode;
+          check_bytes "sub" (Bytes.sub data pos len) (Cache.sub cache ~rnode ~pos ~len))
+        (pick ())
+    | 4 ->
+      Option.iter
+        (fun rnode ->
+          refresh rnode;
+          Cache.touch cache ~rnode)
+        (pick ())
+    | 5 ->
+      Option.iter
+        (fun rnode ->
+          Hashtbl.remove model rnode;
+          Cache.remove cache ~rnode)
+        (pick ())
+    | _ -> ignore (Cache.compact cache : int)
+  done;
+  check_int "resident" (Hashtbl.length model) (Cache.resident_files cache);
+  Hashtbl.iter
+    (fun rnode (inode, _, data) ->
+      check_int "inode" inode (Cache.inode_of cache ~rnode);
+      check_bytes "contents" data (Cache.get cache ~rnode))
+    model
+
+let test_lru_matches_min_age_oracle () =
+  for seed = 1 to 40 do
+    run_lru_model (Int64.of_int seed)
+  done
+
 let suite =
   ( "cache",
     [
@@ -170,9 +275,11 @@ let suite =
       Alcotest.test_case "get of free rnode rejected" `Quick test_get_of_free_rnode_rejected;
       Alcotest.test_case "sub range" `Quick test_sub_range;
       Alcotest.test_case "sub out of range rejected" `Quick test_sub_out_of_range;
-      Alcotest.test_case "reserve and blit_in" `Quick test_reserve_and_blit;
+      Alcotest.test_case "reserve and fill" `Quick test_reserve_and_fill;
       Alcotest.test_case "compaction preserves contents" `Quick test_compaction_preserves_contents;
       Alcotest.test_case "compaction of empty cache" `Quick test_compaction_of_empty_cache;
       Alcotest.test_case "touch protects from eviction" `Quick test_touch_protects_from_eviction;
+      Alcotest.test_case "LRU victims match the min-age oracle" `Quick
+        test_lru_matches_min_age_oracle;
       prop_model;
     ] )

@@ -399,6 +399,111 @@ let test_mirror_read_repair () =
   ignore (Mirror.read m ~sector:500 ~count:2);
   check_int "no second fall-through" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs")
 
+(* ---- one-copy reads: read_into against read ---- *)
+
+(* A mirror whose drives hold three sectors of data at sector 40. *)
+let read_into_rig () =
+  let clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:40 (payload (3 * 512));
+  (clock, d1, d2, m)
+
+(* Everything a read is observed by: clock, drive and mirror counters. *)
+let observed clock d1 d2 m =
+  (Clock.now clock, Stats.counters (Dev.stats d1), Stats.counters (Dev.stats d2), Stats.counters (Mirror.stats m))
+
+let test_mirror_read_into_matches_read () =
+  (* the last of the three sectors is partial: 2 sectors + 100 bytes *)
+  let len = (2 * 512) + 100 in
+  let c1, a1, a2, m1 = read_into_rig () in
+  let c2, b1, b2, m2 = read_into_rig () in
+  let whole = Mirror.read m1 ~sector:40 ~count:3 in
+  let dst = Bytes.make (len + 10) 'x' in
+  Mirror.read_into m2 ~sector:40 ~count:3 ~dst ~dst_off:7 ~len;
+  check_bytes "same bytes" (Bytes.sub whole 0 len) (Bytes.sub dst 7 len);
+  check_string "nothing outside the range" "xxxxxxx" (Bytes.sub_string dst 0 7);
+  check_string "nothing past len" "xxx" (Bytes.sub_string dst (7 + len) 3);
+  check_bool "same clock charge and stats" true (observed c1 a1 a2 m1 = observed c2 b1 b2 m2);
+  (* the head stopped at the same place: the next read is sequential on both *)
+  let seeks = Stats.count (Dev.stats b1) "seeks" in
+  ignore (Mirror.read m1 ~sector:43 ~count:1);
+  ignore (Mirror.read m2 ~sector:43 ~count:1);
+  check_bool "same head position" true (observed c1 a1 a2 m1 = observed c2 b1 b2 m2);
+  check_int "no extra seek" seeks (Stats.count (Dev.stats b1) "seeks")
+
+let test_mirror_read_into_failover () =
+  let _clock, d1, _, m = read_into_rig () in
+  Dev.fail d1;
+  let dst = Bytes.create 700 in
+  Mirror.read_into m ~sector:40 ~count:2 ~dst ~dst_off:0 ~len:700;
+  check_bytes "served from replica" (Bytes.sub (payload (3 * 512)) 0 700) dst;
+  check_int "degraded read" 1 (Stats.count (Mirror.stats m) "degraded_reads")
+
+let test_mirror_read_into_transient_error () =
+  let _clock, d1, _, m = read_into_rig () in
+  let once = ref true in
+  Dev.set_fault_hook d1
+    (Some
+       (fun ~sector:_ ~count:_ ~write ->
+         let fire = (not write) && !once in
+         if fire then once := false;
+         fire));
+  let dst = Bytes.create 512 in
+  Mirror.read_into m ~sector:41 ~count:1 ~dst ~dst_off:0 ~len:512;
+  check_bytes "replica served the read" (Bytes.sub (payload (3 * 512)) 512 512) dst;
+  check_int "failover counted" 1 (Stats.count (Mirror.stats m) "read_failovers");
+  check_int "primary logged the soft error" 1 (Stats.count (Dev.stats d1) "transient_errors")
+
+let test_read_into_bad_sector_leaves_dst () =
+  let _clock, d1, d2, m = read_into_rig () in
+  Dev.set_bad_sector d1 41;
+  let dst = Bytes.make 600 'x' in
+  (try
+     Dev.read_into d1 ~sector:40 ~count:2 ~dst ~dst_off:0 ~len:600;
+     Alcotest.fail "expected bad-sector failure"
+   with Dev.Failure _ -> ());
+  check_string "device: dst untouched" (String.make 600 'x') (Bytes.to_string dst);
+  Dev.set_bad_sector d2 41;
+  (try
+     Mirror.read_into m ~sector:40 ~count:2 ~dst ~dst_off:0 ~len:600;
+     Alcotest.fail "expected No_live_drive"
+   with Mirror.No_live_drive -> ());
+  check_string "mirror: dst untouched" (String.make 600 'x') (Bytes.to_string dst);
+  check_int "both drives failed over" 2 (Stats.count (Mirror.stats m) "read_failovers")
+
+let test_read_into_rejects_long_len () =
+  let _clock, dev = make_dev () in
+  let dst = Bytes.create 2048 in
+  (try
+     Dev.read_into dev ~sector:0 ~count:1 ~dst ~dst_off:0 ~len:513;
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  (try
+     Dev.read_into dev ~sector:0 ~count:1 ~dst ~dst_off:2000 ~len:100;
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  check_int "no access charged" 0 (Stats.count (Dev.stats dev) "reads")
+
+let test_mirror_read_into_repairs_whole_sectors () =
+  (* as test_mirror_read_repair, but the read stops 424 bytes short of
+     the second sector's end: the stale drive still gets both sectors *)
+  let clock, d1, _, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:500 (payload 512);
+  Dev.fail d1;
+  Mirror.write m ~sync:1 ~sector:500 (payload 1024);
+  Mirror.rejoin m;
+  let dst = Bytes.create 600 in
+  let before = Clock.now clock in
+  Mirror.read_into m ~sector:500 ~count:2 ~dst ~dst_off:0 ~len:600;
+  let charged = Clock.now clock - before in
+  check_bytes "read serves current bytes" (Bytes.sub (payload 1024) 0 600) dst;
+  check_int "read-repair counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
+  check_bytes "whole sectors repaired" (payload 1024) (Dev.peek d1 ~sector:500 ~count:2);
+  (* the repair is off the measured path: the charge is one two-sector read *)
+  let c, _, _, m' = read_into_rig () in
+  let before = Clock.now c in
+  ignore (Mirror.read m' ~sector:500 ~count:2);
+  check_int "repair uncharged" (Clock.now c - before) charged
+
 let test_mirror_foreground_write_clears_dirty () =
   let _clock, _, d2, m = make_mirror () in
   Dev.fail d2;
@@ -489,6 +594,15 @@ let suite =
       Alcotest.test_case "mirror failover on transient error" `Quick
         test_mirror_failover_on_transient_error;
       Alcotest.test_case "device fault hook install/remove" `Quick test_device_fault_hook_removable;
+      Alcotest.test_case "mirror read_into matches read" `Quick test_mirror_read_into_matches_read;
+      Alcotest.test_case "mirror read_into fails over" `Quick test_mirror_read_into_failover;
+      Alcotest.test_case "mirror read_into on a transient error" `Quick
+        test_mirror_read_into_transient_error;
+      Alcotest.test_case "read_into bad sector leaves dst untouched" `Quick
+        test_read_into_bad_sector_leaves_dst;
+      Alcotest.test_case "device read_into range check" `Quick test_read_into_rejects_long_len;
+      Alcotest.test_case "mirror read_into repairs whole sectors" `Quick
+        test_mirror_read_into_repairs_whole_sectors;
       Alcotest.test_case "dirty mark/clear/remaining" `Quick test_dirty_mark_clear;
       Alcotest.test_case "dirty mark_all" `Quick test_dirty_mark_all;
       Alcotest.test_case "dirty next_run bounded, not clearing" `Quick test_dirty_next_run;

@@ -156,6 +156,27 @@ let test_cache_miss_loads_from_disk () =
   let (_ : bytes) = ok_exn (Server.read server first) in
   check_int "back in cache" reads_now (Stats.count (Dev.stats rig.drive1) "reads")
 
+let test_miss_after_compaction_and_eviction () =
+  (* the miss path reads the drive straight into the file's cache extent:
+     after compaction has slid segments and eviction has freed the oldest,
+     a reloaded file must land whole, and no neighbour may be overwritten *)
+  let _rig, server = make () in
+  let content tag n = Amoeba_sim.Prng.bytes (Amoeba_sim.Prng.create ~seed:(Int64.of_int tag)) n in
+  let create tag n = ok_exn (Server.create server (content tag n)) in
+  let a = create 1 100_000 in
+  let b = create 2 150_000 in
+  let c = create 3 100_003 in
+  ok_exn (Server.delete server b);
+  check_bool "compaction moved a segment" true (Server.compact_cache server > 0);
+  let _later = List.map (fun tag -> create tag 100_000) [ 4; 5; 6; 7 ] in
+  check_bool "the oldest file was evicted" true
+    (Stats.count (Server.cache_stats server) "evictions" >= 1);
+  let misses = Stats.count (Server.stats server) "cache_misses" in
+  check_bytes "a reloads from disk" (content 1 100_000) (ok_exn (Server.read server a));
+  check_bytes "c reloads from disk" (content 3 100_003) (ok_exn (Server.read server c));
+  check_int "both were misses" (misses + 2) (Stats.count (Server.stats server) "cache_misses");
+  check_bytes "a is intact in cache" (content 1 100_000) (ok_exn (Server.read server a))
+
 let test_file_larger_than_cache_rejected () =
   let _rig, server = make () in
   (* test cache is 512 KB *)
@@ -430,6 +451,8 @@ let suite =
         test_stale_capability_after_delete_and_reuse;
       Alcotest.test_case "cache hit avoids disk" `Quick test_cache_hit_avoids_disk;
       Alcotest.test_case "cache miss loads from disk" `Quick test_cache_miss_loads_from_disk;
+      Alcotest.test_case "read miss after compaction and eviction" `Quick
+        test_miss_after_compaction_and_eviction;
       Alcotest.test_case "file larger than cache rejected" `Quick test_file_larger_than_cache_rejected;
       Alcotest.test_case "cache hit faster than miss" `Quick test_cache_hit_faster_than_miss;
       Alcotest.test_case "create writes both disks" `Quick test_create_writes_both_disks;

@@ -69,8 +69,22 @@ let test_fixture_clock () =
   (* only the innermost offender: charged_read reaches the same effects
      but advances the clock, so it must stay clean *)
   Alcotest.check loc "clock diagnostics"
-    [ ("fixture_clock.ml", 7, "vet-clock-free-work") ]
+    [ ("fixture_clock.ml", 7, "vet-clock-free-work"); ("fixture_disk.ml", 6, "vet-clock-free-work") ]
     (located (analyze [ Vet.Clock ]))
+
+let test_fixture_clock_read_into () =
+  (* Mirror.read_into is a device op: a lib function that reads the
+     clock and loads sectors through it without charging is flagged *)
+  let flagged =
+    List.filter
+      (fun d -> String.equal (Filename.basename d.Lint.file) "fixture_disk.ml")
+      (analyze [ Vet.Clock ]).Vet.diagnostics
+  in
+  Alcotest.check loc "read_into diagnostics"
+    [ ("fixture_disk.ml", 6, "vet-clock-free-work") ]
+    (List.map (fun d -> (Filename.basename d.Lint.file, d.Lint.line, d.Lint.rule)) flagged);
+  check_bool "names the function" true
+    (List.exists (fun d -> contains_sub d.Lint.message "free_load") flagged)
 
 let test_fixture_taint () =
   (* persist_sorted (line 13) carries a justified source-site allow and
@@ -202,6 +216,8 @@ let suite =
     [
       Alcotest.test_case "proto fixture bugs at exact lines" `Quick test_fixture_proto;
       Alcotest.test_case "clock fixture bug at exact line" `Quick test_fixture_clock;
+      Alcotest.test_case "clock pass flags an uncharged Mirror.read_into" `Quick
+        test_fixture_clock_read_into;
       Alcotest.test_case "taint fixture bugs at exact lines" `Quick test_fixture_taint;
       Alcotest.test_case "fixture inventory" `Quick test_fixture_inventory;
       Alcotest.test_case "JSON double run is byte-identical" `Quick test_json_double_run;
