@@ -22,6 +22,7 @@ let () =
       Test_unix_emu.suite;
       Test_workload.suite;
       Test_wire.suite;
+      Test_formats.suite;
       Test_wan.suite;
       Test_cluster.suite;
       Test_fuzz.suite;
