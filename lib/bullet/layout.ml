@@ -12,65 +12,36 @@ let inodes_per_block block_size = block_size / inode_bytes
 
 let magic = 0x42554C4C (* "BULL" *)
 
-let set_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off = (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set_u32 buf off v =
-  for i = 0 to 3 do
-    Bytes.set buf (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  done
-
-let get_u32 buf off =
-  let acc = ref 0 in
-  for i = 0 to 3 do
-    acc := (!acc lsl 8) lor Char.code (Bytes.get buf (off + i))
-  done;
-  !acc
-
-let set_u48 buf off v =
-  for i = 0 to 5 do
-    let shift = 8 * (5 - i) in
-    Bytes.set buf (off + i) (Char.chr (Int64.to_int (Int64.shift_right_logical v shift) land 0xff))
-  done
-
-let get_u48 buf off =
-  let acc = ref 0L in
-  for i = 0 to 5 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code (Bytes.get buf (off + i))))
-  done;
-  !acc
+module Codec = Amoeba_sim.Codec
 
 let encode_inode i buf off =
-  set_u48 buf off i.random;
-  set_u16 buf (off + 6) i.index;
-  set_u32 buf (off + 8) i.first_block;
-  set_u32 buf (off + 12) i.size_bytes
+  Codec.set_u48 buf off i.random;
+  Bytes.set_uint16_be buf (off + 6) i.index;
+  Codec.set_u32 buf (off + 8) i.first_block;
+  Codec.set_u32 buf (off + 12) i.size_bytes
 
 let decode_inode buf off =
   {
-    random = get_u48 buf off;
-    index = get_u16 buf (off + 6);
-    first_block = get_u32 buf (off + 8);
-    size_bytes = get_u32 buf (off + 12);
+    random = Codec.get_u48 buf off;
+    index = Bytes.get_uint16_be buf (off + 6);
+    first_block = Codec.get_u32 buf (off + 8);
+    size_bytes = Codec.get_u32 buf (off + 12);
   }
 
 let encode_descriptor d buf off =
-  set_u32 buf off magic;
-  set_u32 buf (off + 4) d.block_size;
-  set_u32 buf (off + 8) d.control_size;
-  set_u32 buf (off + 12) d.data_size
+  Codec.set_u32 buf off magic;
+  Codec.set_u32 buf (off + 4) d.block_size;
+  Codec.set_u32 buf (off + 8) d.control_size;
+  Codec.set_u32 buf (off + 12) d.data_size
 
 let decode_descriptor buf off =
-  if get_u32 buf off <> magic then Error "bad magic: not a Bullet image"
+  if Codec.get_u32 buf off <> magic then Error "bad magic: not a Bullet image"
   else
     let d =
       {
-        block_size = get_u32 buf (off + 4);
-        control_size = get_u32 buf (off + 8);
-        data_size = get_u32 buf (off + 12);
+        block_size = Codec.get_u32 buf (off + 4);
+        control_size = Codec.get_u32 buf (off + 8);
+        data_size = Codec.get_u32 buf (off + 12);
       }
     in
     if d.block_size <= 0 || d.block_size mod inode_bytes <> 0 then Error "bad block size"

@@ -24,45 +24,21 @@ let pp ppf t =
 
 let wire_size = Port.wire_size + 4 + 2 + 8
 
-let set_u32 buf off v =
-  for i = 0 to 3 do
-    Bytes.set buf (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  done
-
-let get_u32 buf off =
-  let acc = ref 0 in
-  for i = 0 to 3 do
-    acc := (!acc lsl 8) lor Char.code (Bytes.get buf (off + i))
-  done;
-  !acc
-
-let set_u64 buf off v =
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set buf (off + i) (Char.chr (Int64.to_int (Int64.shift_right_logical v shift) land 0xff))
-  done
-
-let get_u64 buf off =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code (Bytes.get buf (off + i))))
-  done;
-  !acc
-
 let write t buf off =
   Port.write t.port buf off;
-  set_u32 buf (off + 6) t.obj;
-  Bytes.set buf (off + 10) '\000';
-  Bytes.set buf (off + 11) (Char.chr (Rights.to_int t.rights));
-  set_u64 buf (off + 12) t.check
+  Amoeba_sim.Codec.set_u32 buf (off + 6) t.obj;
+  Bytes.set_uint16_be buf (off + 10) (Rights.to_int t.rights);
+  Bytes.set_int64_be buf (off + 12) t.check
 
 let read buf off =
   {
     port = Port.read buf off;
-    obj = get_u32 buf (off + 6);
-    rights = Rights.of_int (Char.code (Bytes.get buf (off + 11)));
-    check = get_u64 buf (off + 12);
+    obj = Amoeba_sim.Codec.get_u32 buf (off + 6);
+    rights = Rights.of_int (Bytes.get_uint8 buf (off + 11));
+    check = Bytes.get_int64_be buf (off + 12);
   }
+
+let of_reader r = read r.Amoeba_sim.Codec.Reader.data (Amoeba_sim.Codec.Reader.take r wire_size)
 
 let to_bytes t =
   let buf = Bytes.create wire_size in

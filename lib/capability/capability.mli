@@ -31,6 +31,10 @@ val write : t -> bytes -> int -> unit
 val read : bytes -> int -> t
 (** Decode a capability at the given offset. *)
 
+val of_reader : Amoeba_sim.Codec.Reader.t -> t
+(** Decode the next {!wire_size} bytes. Raises
+    {!Amoeba_sim.Codec.Truncated} if fewer remain. *)
+
 val to_bytes : t -> bytes
 
 val of_bytes : bytes -> t

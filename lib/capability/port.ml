@@ -26,15 +26,6 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let wire_size = 6
 
-let write t buf off =
-  for i = 0 to 5 do
-    let shift = 8 * (5 - i) in
-    Bytes.set buf (off + i) (Char.chr (Int64.to_int (Int64.shift_right_logical t shift) land 0xff))
-  done
+let write t buf off = Amoeba_sim.Codec.set_u48 buf off t
 
-let read buf off =
-  let acc = ref 0L in
-  for i = 0 to 5 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code (Bytes.get buf (off + i))))
-  done;
-  !acc
+let read = Amoeba_sim.Codec.get_u48

@@ -1,6 +1,7 @@
 module Message = Amoeba_rpc.Message
 module Status = Amoeba_rpc.Status
 module Cap = Amoeba_cap.Capability
+module R = Amoeba_sim.Codec.Reader
 
 let cmd_make_dir = 1
 
@@ -43,8 +44,7 @@ let cmd_txn_abort = 27
 let encode_listing rows =
   let buf = Buffer.create 128 in
   let add_row (name, cap) =
-    Buffer.add_char buf (Char.chr ((String.length name lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr (String.length name land 0xff));
+    Buffer.add_uint16_be buf (String.length name);
     Buffer.add_string buf name;
     Buffer.add_bytes buf (Cap.to_bytes cap)
   in
@@ -52,17 +52,14 @@ let encode_listing rows =
   Buffer.to_bytes buf
 
 let decode_listing data =
-  let len = Bytes.length data in
-  let rec go pos acc =
-    if pos >= len then List.rev acc
-    else begin
-      let n = (Char.code (Bytes.get data pos) lsl 8) lor Char.code (Bytes.get data (pos + 1)) in
-      let name = Bytes.sub_string data (pos + 2) n in
-      let cap = Cap.read data (pos + 2 + n) in
-      go (pos + 2 + n + Cap.wire_size) ((name, cap) :: acc)
-    end
+  let r = R.of_bytes data in
+  let rec go acc =
+    if R.at_end r then List.rev acc
+    else
+      let name = R.string r (R.u16 r) in
+      go ((name, Cap.of_reader r) :: acc)
   in
-  go 0 []
+  go []
 
 let encode_caps caps =
   let buf = Bytes.create (List.length caps * Cap.wire_size) in

@@ -64,6 +64,7 @@ val decode_txn_intent : bytes -> (Dir_server.intent_op * string) option
 val encode_listing : (string * Amoeba_cap.Capability.t) list -> bytes
 
 val decode_listing : bytes -> (string * Amoeba_cap.Capability.t) list
+(** Raises {!Amoeba_sim.Codec.Truncated} on a short body. *)
 
 val encode_caps : Amoeba_cap.Capability.t list -> bytes
 

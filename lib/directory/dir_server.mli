@@ -55,7 +55,9 @@ val enter :
   Amoeba_cap.Capability.t ->
   (unit, Amoeba_rpc.Status.t) result
 (** Bind a name. Fails with [Exists] if already bound (use {!replace} to
-    install a new version); needs the modify right. *)
+    install a new version); needs the modify right. A name must be 1 to
+    65,535 bytes (its length is stored as a u16), else [Bad_request];
+    {!replace} and {!txn_prepare} check the same. *)
 
 val replace :
   t ->
@@ -199,7 +201,8 @@ val restore :
     must match the original server's so capability seals verify. The
     checkpoint and directory files are read through [from] (default
     [store]); future persistence goes through [store] — this is how a
-    replica is rebuilt from its peer's storage (see {!Dir_pair}). *)
+    replica is rebuilt from its peer's storage (see {!Dir_pair}).
+    A truncated checkpoint or directory file is [Bad_request]. *)
 
 val repersist : t -> unit
 (** Rewrite every directory as a fresh Bullet file through this server's

@@ -1,16 +1,6 @@
 let magic = "BIMG0001"
 
-let set_u32 buf off v =
-  for i = 0 to 3 do
-    Bytes.set buf (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  done
-
-let get_u32 buf off =
-  let acc = ref 0 in
-  for i = 0 to 3 do
-    acc := (!acc lsl 8) lor Char.code (Bytes.get buf (off + i))
-  done;
-  !acc
+module Codec = Amoeba_sim.Codec
 
 let header_bytes = String.length magic + (6 * 4)
 
@@ -18,12 +8,12 @@ let encode_header (g : Geometry.t) =
   let buf = Bytes.create header_bytes in
   Bytes.blit_string magic 0 buf 0 (String.length magic);
   let base = String.length magic in
-  set_u32 buf base g.Geometry.sector_bytes;
-  set_u32 buf (base + 4) g.Geometry.sector_count;
-  set_u32 buf (base + 8) g.Geometry.avg_seek_us;
-  set_u32 buf (base + 12) g.Geometry.rotation_us;
-  set_u32 buf (base + 16) g.Geometry.media_rate;
-  set_u32 buf (base + 20) g.Geometry.controller_us;
+  Codec.set_u32 buf base g.Geometry.sector_bytes;
+  Codec.set_u32 buf (base + 4) g.Geometry.sector_count;
+  Codec.set_u32 buf (base + 8) g.Geometry.avg_seek_us;
+  Codec.set_u32 buf (base + 12) g.Geometry.rotation_us;
+  Codec.set_u32 buf (base + 16) g.Geometry.media_rate;
+  Codec.set_u32 buf (base + 20) g.Geometry.controller_us;
   buf
 
 let decode_header buf =
@@ -33,12 +23,12 @@ let decode_header buf =
     let base = String.length magic in
     Ok
       {
-        Geometry.sector_bytes = get_u32 buf base;
-        sector_count = get_u32 buf (base + 4);
-        avg_seek_us = get_u32 buf (base + 8);
-        rotation_us = get_u32 buf (base + 12);
-        media_rate = get_u32 buf (base + 16);
-        controller_us = get_u32 buf (base + 20);
+        Geometry.sector_bytes = Codec.get_u32 buf base;
+        sector_count = Codec.get_u32 buf (base + 4);
+        avg_seek_us = Codec.get_u32 buf (base + 8);
+        rotation_us = Codec.get_u32 buf (base + 12);
+        media_rate = Codec.get_u32 buf (base + 16);
+        controller_us = Codec.get_u32 buf (base + 20);
       }
   end
 

@@ -113,7 +113,7 @@ let encode_snapshot snap =
   let buf = Buffer.create 256 in
   let i64 n = Buffer.add_int64_be buf (Int64.of_int n) in
   i64 snap.at_us;
-  Buffer.add_int32_be buf (Int32.of_int (List.length snap.samples));
+  Amoeba_sim.Codec.add_u32 buf (List.length snap.samples);
   List.iter
     (fun s ->
       Buffer.add_uint16_be buf (String.length s.s_name);
@@ -137,47 +137,36 @@ let encode_snapshot snap =
   Buffer.to_bytes buf
 
 let decode_snapshot b =
-  let len = Bytes.length b in
-  let pos = ref 0 in
-  let need n k =
-    if !pos + n > len then Error "snapshot truncated"
-    else begin
-      let at = !pos in
-      pos := !pos + n;
-      k at
-    end
+  let module R = Amoeba_sim.Codec.Reader in
+  let r = R.of_bytes b in
+  let i64 () = Int64.to_int (R.i64 r) in
+  let sample () =
+    let s_name = R.string r (R.u16 r) in
+    match R.u8 r with
+    | 0 -> Ok { s_name; s_value = Counter (i64 ()) }
+    | 1 -> Ok { s_name; s_value = Gauge (i64 ()) }
+    | 2 ->
+      (* explicit sequencing: record fields evaluate in unspecified order *)
+      let count = i64 () in
+      let sum = i64 () in
+      let p50 = i64 () in
+      let p95 = i64 () in
+      let p99 = i64 () in
+      let max_value = i64 () in
+      Ok { s_name; s_value = Hist { count; sum; p50; p95; p99; max_value } }
+    | k -> Error (Printf.sprintf "snapshot: unknown sample kind %d" k)
   in
-  let i64 k = need 8 (fun at -> k (Int64.to_int (Bytes.get_int64_be b at))) in
-  let ( let* ) = Result.bind in
-  let* at_us = i64 (fun n -> Ok n) in
-  let* count = need 4 (fun at -> Ok (Int32.to_int (Bytes.get_int32_be b at))) in
-  if count < 0 then Error "snapshot: negative sample count"
-  else begin
-    let rec samples n acc =
-      if n = 0 then Ok (List.rev acc)
-      else
-        let* nlen = need 2 (fun at -> Ok (Bytes.get_uint16_be b at)) in
-        let* s_name = need nlen (fun at -> Ok (Bytes.sub_string b at nlen)) in
-        let* kind = need 1 (fun at -> Ok (Bytes.get_uint8 b at)) in
-        let* s_value =
-          match kind with
-          | 0 -> i64 (fun v -> Ok (Counter v))
-          | 1 -> i64 (fun v -> Ok (Gauge v))
-          | 2 ->
-            let* count = i64 (fun v -> Ok v) in
-            let* sum = i64 (fun v -> Ok v) in
-            let* p50 = i64 (fun v -> Ok v) in
-            let* p95 = i64 (fun v -> Ok v) in
-            let* p99 = i64 (fun v -> Ok v) in
-            let* max_value = i64 (fun v -> Ok v) in
-            Ok (Hist { count; sum; p50; p95; p99; max_value })
-          | k -> Error (Printf.sprintf "snapshot: unknown sample kind %d" k)
-        in
-        samples (n - 1) ({ s_name; s_value } :: acc)
-    in
-    let* samples = samples count [] in
-    if !pos <> len then Error "snapshot: trailing bytes" else Ok { at_us; samples }
-  end
+  let rec samples n acc =
+    if n = 0 then Ok (List.rev acc)
+    else match sample () with Ok s -> samples (n - 1) (s :: acc) | Error _ as e -> e
+  in
+  match
+    let at_us = i64 () in
+    Result.map (fun samples -> { at_us; samples }) (samples (R.u32 r) [])
+  with
+  | Ok snap -> if R.at_end r then Ok snap else Error "snapshot: trailing bytes"
+  | Error _ as e -> e
+  | exception Amoeba_sim.Codec.Truncated -> Error "snapshot truncated"
 
 (* ---- time series ---- *)
 

@@ -193,9 +193,9 @@ let verify t fh =
 
 (* ---- block map ---- *)
 
-let read_ptr block idx = L.get_u32 block (idx * 4)
+let read_ptr block idx = Amoeba_sim.Codec.get_u32 block (idx * 4)
 
-let write_ptr block idx v = L.set_u32 block (idx * 4) v
+let write_ptr block idx v = Amoeba_sim.Codec.set_u32 block (idx * 4) v
 
 (* Map file block [fbn] to a device block. With [alloc], missing blocks
    (including indirect blocks) are allocated and metadata written through

@@ -35,28 +35,18 @@ let inline_capacity = inode_bytes - inline_offset
 
 let inodes_per_block = fs_block_bytes / inode_bytes
 
-let set_u32 buf off v =
-  for i = 0 to 3 do
-    Bytes.set buf (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  done
-
-let get_u32 buf off =
-  let acc = ref 0 in
-  for i = 0 to 3 do
-    acc := (!acc lsl 8) lor Char.code (Bytes.get buf (off + i))
-  done;
-  !acc
+module Codec = Amoeba_sim.Codec
 
 let encode_inode i buf off =
   let used_tag = if not i.used then 0 else match i.inline with None -> 1 | Some _ -> 2 in
-  set_u32 buf off used_tag;
-  set_u32 buf (off + 4) i.gen;
-  set_u32 buf (off + 8) i.size_bytes;
+  Codec.set_u32 buf off used_tag;
+  Codec.set_u32 buf (off + 4) i.gen;
+  Codec.set_u32 buf (off + 8) i.size_bytes;
   for d = 0 to direct_pointers - 1 do
-    set_u32 buf (off + 12 + (4 * d)) i.direct.(d)
+    Codec.set_u32 buf (off + 12 + (4 * d)) i.direct.(d)
   done;
-  set_u32 buf (off + 12 + (4 * direct_pointers)) i.indirect;
-  set_u32 buf (off + 16 + (4 * direct_pointers)) i.double;
+  Codec.set_u32 buf (off + 12 + (4 * direct_pointers)) i.indirect;
+  Codec.set_u32 buf (off + 16 + (4 * direct_pointers)) i.double;
   match i.inline with
   | None -> ()
   | Some data ->
@@ -64,15 +54,15 @@ let encode_inode i buf off =
     Bytes.blit data 0 buf (off + inline_offset) (Bytes.length data)
 
 let decode_inode buf off =
-  let used_tag = get_u32 buf off in
-  let size_bytes = get_u32 buf (off + 8) in
+  let used_tag = Codec.get_u32 buf off in
+  let size_bytes = Codec.get_u32 buf (off + 8) in
   {
     used = used_tag <> 0;
-    gen = get_u32 buf (off + 4);
+    gen = Codec.get_u32 buf (off + 4);
     size_bytes;
-    direct = Array.init direct_pointers (fun d -> get_u32 buf (off + 12 + (4 * d)));
-    indirect = get_u32 buf (off + 12 + (4 * direct_pointers));
-    double = get_u32 buf (off + 16 + (4 * direct_pointers));
+    direct = Array.init direct_pointers (fun d -> Codec.get_u32 buf (off + 12 + (4 * d)));
+    indirect = Codec.get_u32 buf (off + 12 + (4 * direct_pointers));
+    double = Codec.get_u32 buf (off + 16 + (4 * direct_pointers));
     inline =
       (if used_tag = 2 && size_bytes <= inline_capacity then
          Some (Bytes.sub buf (off + inline_offset) size_bytes)
@@ -84,19 +74,19 @@ type superblock = { total_blocks : int; inode_blocks : int; bitmap_blocks : int 
 let magic = 0x55465321 (* "UFS!" *)
 
 let encode_superblock s buf off =
-  set_u32 buf off magic;
-  set_u32 buf (off + 4) s.total_blocks;
-  set_u32 buf (off + 8) s.inode_blocks;
-  set_u32 buf (off + 12) s.bitmap_blocks
+  Codec.set_u32 buf off magic;
+  Codec.set_u32 buf (off + 4) s.total_blocks;
+  Codec.set_u32 buf (off + 8) s.inode_blocks;
+  Codec.set_u32 buf (off + 12) s.bitmap_blocks
 
 let decode_superblock buf off =
-  if get_u32 buf off <> magic then Error "bad magic: not a UFS-baseline image"
+  if Codec.get_u32 buf off <> magic then Error "bad magic: not a UFS-baseline image"
   else
     let s =
       {
-        total_blocks = get_u32 buf (off + 4);
-        inode_blocks = get_u32 buf (off + 8);
-        bitmap_blocks = get_u32 buf (off + 12);
+        total_blocks = Codec.get_u32 buf (off + 4);
+        inode_blocks = Codec.get_u32 buf (off + 8);
+        bitmap_blocks = Codec.get_u32 buf (off + 12);
       }
     in
     if s.total_blocks <= 0 || s.inode_blocks <= 0 || s.bitmap_blocks <= 0 then

@@ -70,10 +70,3 @@ val sectors_per_block : Amoeba_disk.Geometry.t -> int
 
 val max_file_bytes : superblock -> int
 (** Largest representable file (direct + single + double indirect). *)
-
-val get_u32 : bytes -> int -> int
-(** Big-endian 32-bit load; used for block-pointer arrays in indirect
-    blocks. *)
-
-val set_u32 : bytes -> int -> int -> unit
-(** Big-endian 32-bit store. *)

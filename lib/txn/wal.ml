@@ -1,4 +1,6 @@
 module Cap = Amoeba_cap.Capability
+module Codec = Amoeba_sim.Codec
+module R = Codec.Reader
 
 (* The coordinator's write-ahead log. Records are kept ENCODED — every
    append runs the wire codec and recovery decodes the bytes back — so
@@ -18,11 +20,6 @@ type record =
   | Done of int
 
 (* ---- wire codec ---- *)
-
-let add_u32 buf v =
-  for i = 3 downto 0 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
 
 let add_cap buf cap = Buffer.add_bytes buf (Cap.to_bytes cap)
 
@@ -44,59 +41,23 @@ let encode_action buf = function
       Buffer.add_char buf '\001';
       add_cap buf cap
     | Amoeba_dir.Dir_server.Txn_remove -> Buffer.add_char buf '\002');
-    Buffer.add_char buf (Char.chr ((String.length name lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr (String.length name land 0xff));
+    Buffer.add_uint16_be buf (String.length name);
     Buffer.add_string buf name
 
-type reader = { data : bytes; mutable pos : int }
-
-exception Truncated
-
-let need r n = if r.pos + n > Bytes.length r.data then raise Truncated
-
-let read_u8 r =
-  need r 1;
-  let v = Char.code (Bytes.get r.data r.pos) in
-  r.pos <- r.pos + 1;
-  v
-
-let read_u32 r =
-  need r 4;
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    v := (!v lsl 8) lor Char.code (Bytes.get r.data r.pos);
-    r.pos <- r.pos + 1
-  done;
-  !v
-
-let read_cap r =
-  need r Cap.wire_size;
-  let cap = Cap.read r.data r.pos in
-  r.pos <- r.pos + Cap.wire_size;
-  cap
-
 let decode_action r =
-  match read_u8 r with
-  | 0 -> Ok (Bullet_create (read_cap r))
-  | 1 -> Ok (Bullet_delete (read_cap r))
+  match R.u8 r with
+  | 0 -> Ok (Bullet_create (Cap.of_reader r))
+  | 1 -> Ok (Bullet_delete (Cap.of_reader r))
   | 2 ->
-    let dir = read_cap r in
+    let dir = Cap.of_reader r in
     let op =
-      match read_u8 r with
-      | 0 -> Ok (Amoeba_dir.Dir_server.Txn_enter (read_cap r))
-      | 1 -> Ok (Amoeba_dir.Dir_server.Txn_replace (read_cap r))
+      match R.u8 r with
+      | 0 -> Ok (Amoeba_dir.Dir_server.Txn_enter (Cap.of_reader r))
+      | 1 -> Ok (Amoeba_dir.Dir_server.Txn_replace (Cap.of_reader r))
       | 2 -> Ok Amoeba_dir.Dir_server.Txn_remove
       | n -> Error (Printf.sprintf "wal: unknown intent op tag %d" n)
     in
-    Result.bind op (fun op ->
-        (* explicit sequencing: argument order of [lor] is unspecified *)
-        let hi = read_u8 r in
-        let lo = read_u8 r in
-        let len = (hi lsl 8) lor lo in
-        need r len;
-        let name = Bytes.sub_string r.data r.pos len in
-        r.pos <- r.pos + len;
-        Ok (Dir_intent { dir; name; op }))
+    Result.map (fun op -> Dir_intent { dir; name = R.string r (R.u16 r); op }) op
   | n -> Error (Printf.sprintf "wal: unknown action tag %d" n)
 
 let encode_record record =
@@ -104,35 +65,35 @@ let encode_record record =
   (match record with
   | Begin txn ->
     Buffer.add_char buf '\000';
-    add_u32 buf txn
+    Codec.add_u32 buf txn
   | Prepared (txn, action) ->
     Buffer.add_char buf '\001';
-    add_u32 buf txn;
+    Codec.add_u32 buf txn;
     encode_action buf action
   | Commit txn ->
     Buffer.add_char buf '\002';
-    add_u32 buf txn
+    Codec.add_u32 buf txn
   | Done txn ->
     Buffer.add_char buf '\003';
-    add_u32 buf txn);
+    Codec.add_u32 buf txn);
   Buffer.to_bytes buf
 
 let decode_record data =
-  let r = { data; pos = 0 } in
-  let finish record = if r.pos = Bytes.length data then Ok record else Error "wal: trailing bytes" in
+  let r = R.of_bytes data in
+  let finish record = if R.at_end r then Ok record else Error "wal: trailing bytes" in
   match
-    match read_u8 r with
-    | 0 -> Ok (Begin (read_u32 r))
+    match R.u8 r with
+    | 0 -> Ok (Begin (R.u32 r))
     | 1 ->
-      let txn = read_u32 r in
+      let txn = R.u32 r in
       Result.map (fun action -> Prepared (txn, action)) (decode_action r)
-    | 2 -> Ok (Commit (read_u32 r))
-    | 3 -> Ok (Done (read_u32 r))
+    | 2 -> Ok (Commit (R.u32 r))
+    | 3 -> Ok (Done (R.u32 r))
     | n -> Error (Printf.sprintf "wal: unknown record tag %d" n)
   with
   | Ok record -> finish record
   | Error _ as e -> e
-  | exception Truncated -> Error "wal: truncated record"
+  | exception Codec.Truncated -> Error "wal: truncated record"
 
 (* ---- the log ---- *)
 

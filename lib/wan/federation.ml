@@ -96,17 +96,14 @@ let encode_descriptor replicas =
   Buffer.to_bytes buf
 
 let decode_descriptor data =
-  let count = Char.code (Bytes.get data 0) in
-  let pos = ref 1 in
+  let module R = Amoeba_sim.Codec.Reader in
+  let r = R.of_bytes data in
   let read_one () =
-    let len = Char.code (Bytes.get data !pos) in
-    let site = Bytes.sub_string data (!pos + 1) len in
-    let cap = Cap.read data (!pos + 1 + len) in
-    pos := !pos + 1 + len + Cap.wire_size;
-    (site, cap)
+    let site = R.string r (R.u8 r) in
+    (site, Cap.of_reader r)
   in
-  let rec go n = if n = 0 then [] else let r = read_one () in r :: go (n - 1) in
-  go count
+  let rec go n = if n = 0 then [] else let one = read_one () in one :: go (n - 1) in
+  go (R.u8 r)
 
 (* ---- operations ---- *)
 

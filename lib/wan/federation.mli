@@ -62,7 +62,8 @@ val encode_descriptor : (site * Amoeba_cap.Capability.t) list -> bytes
     length-prefixed site name and the capability bytes. *)
 
 val decode_descriptor : bytes -> (site * Amoeba_cap.Capability.t) list
-(** Inverse of {!encode_descriptor}. *)
+(** Inverse of {!encode_descriptor}. Raises {!Amoeba_sim.Codec.Truncated}
+    on short input. *)
 
 val rank_replicas :
   ?load:(site -> int) ->

@@ -1,6 +1,8 @@
 module Status = Amoeba_rpc.Status
 module Cap = Amoeba_cap.Capability
 module Client = Bullet_core.Client
+module Codec = Amoeba_sim.Codec
+module R = Codec.Reader
 
 type archived = { slot : Worm_device.slot; size : int; sequence : int }
 
@@ -73,34 +75,19 @@ let catalog_names t =
 
 (* ---- catalog persistence ---- *)
 
-let add_u32 buf v =
-  for i = 3 downto 0 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-type reader = { data : bytes; mutable pos : int }
-
-let read_u32 r =
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    v := (!v lsl 8) lor Char.code (Bytes.get r.data r.pos);
-    r.pos <- r.pos + 1
-  done;
-  !v
-
 let checkpoint t =
   let buf = Buffer.create 256 in
-  add_u32 buf t.next_sequence;
-  add_u32 buf (Hashtbl.length t.catalog);
+  Codec.add_u32 buf t.next_sequence;
+  Codec.add_u32 buf (Hashtbl.length t.catalog);
   let encode_name name entries =
-    add_u32 buf (String.length name);
+    Codec.add_u32 buf (String.length name);
     Buffer.add_string buf name;
-    add_u32 buf (List.length entries);
+    Codec.add_u32 buf (List.length entries);
     List.iter
       (fun e ->
-        add_u32 buf e.slot;
-        add_u32 buf e.size;
-        add_u32 buf e.sequence)
+        Codec.add_u32 buf e.slot;
+        Codec.add_u32 buf e.size;
+        Codec.add_u32 buf e.sequence)
       entries
   in
   (* Sorted so the persisted catalog bytes never depend on hash order. *)
@@ -112,25 +99,23 @@ let checkpoint t =
 let restore ~store ~platter cap =
   match Client.read store cap with
   | exception Status.Error e -> Error e
-  | data ->
-    let r = { data; pos = 0 } in
-    let next_sequence = read_u32 r in
-    let names = read_u32 r in
-    let t = { store; platter; catalog = Hashtbl.create 32; next_sequence } in
-    for _ = 1 to names do
-      let len = read_u32 r in
-      let name = Bytes.sub_string r.data r.pos len in
-      r.pos <- r.pos + len;
-      let count = read_u32 r in
-      let rec entries n =
-        if n = 0 then []
-        else begin
-          let slot = read_u32 r in
-          let size = read_u32 r in
-          let sequence = read_u32 r in
-          { slot; size; sequence } :: entries (n - 1)
-        end
-      in
-      Hashtbl.replace t.catalog name (entries count)
-    done;
-    Ok t
+  | data -> (
+    let r = R.of_bytes data in
+    let rec entries n =
+      if n = 0 then []
+      else begin
+        let slot = R.u32 r in
+        let size = R.u32 r in
+        let sequence = R.u32 r in
+        { slot; size; sequence } :: entries (n - 1)
+      end
+    in
+    try
+      let next_sequence = R.u32 r in
+      let t = { store; platter; catalog = Hashtbl.create 32; next_sequence } in
+      for _ = 1 to R.u32 r do
+        let name = R.string r (R.u32 r) in
+        Hashtbl.replace t.catalog name (entries (R.u32 r))
+      done;
+      Ok t
+    with Codec.Truncated -> Error Status.Bad_request)

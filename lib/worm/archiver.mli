@@ -51,3 +51,4 @@ val restore :
   platter:Worm_device.t ->
   Amoeba_cap.Capability.t ->
   (t, Amoeba_rpc.Status.t) result
+(** Rebuild from a {!checkpoint}; a truncated catalog is [Bad_request]. *)

@@ -49,6 +49,34 @@ let test_empty_name_rejected () =
   let rig = make () in
   expect_error Status.Bad_request (Dir.enter rig.dirs rig.root "" (file rig "1"))
 
+(* Rows, LIST replies, checkpoints and WAL intents store a name's length
+   as a u16: the longest such name round-trips, one byte more is refused
+   by every path that binds or locks a name. *)
+let test_name_length_limit () =
+  let rig = make () in
+  let f = file rig "long" in
+  let too_long = String.make 0x10000 'x' in
+  expect_error Status.Bad_request (Dir.enter rig.dirs rig.root too_long f);
+  expect_error Status.Bad_request (Dir.replace rig.dirs rig.root too_long f);
+  expect_error Status.Bad_request
+    (Dir.txn_prepare rig.dirs ~txn:1 rig.root too_long (Dir.Txn_enter f));
+  let name c = String.make 0xFFFF c in
+  ok_exn (Dir.enter rig.dirs rig.root (name 'a') f);
+  ok_exn (Dir.txn_prepare rig.dirs ~txn:2 rig.root (name 'b') (Dir.Txn_enter f));
+  ok_exn (Dir.txn_commit rig.dirs ~txn:2 rig.root (name 'b') (Dir.Txn_enter f));
+  ok_exn (Dir.txn_prepare rig.dirs ~txn:3 rig.root (name 'c') (Dir.Txn_replace f));
+  let names dirs root = List.map fst (ok_exn (Dir.list dirs root)) in
+  check_bool "LIST carries the names" true
+    (List.map fst (Dir_client.list rig.dclient rig.root) = [ name 'a'; name 'b' ]);
+  let checkpoint = ok_exn (Dir.checkpoint rig.dirs) in
+  let revived = Result.get_ok (Dir.restore ~store:rig.bullet.client checkpoint) in
+  check_bool "rows survive a restore" true
+    (names revived (Dir.root revived) = [ name 'a'; name 'b' ]);
+  check_bool "intent survives a restore" true
+    (List.map (fun (_, _, n) -> n) (Dir.txn_pending revived) = [ name 'c' ]);
+  (* the applied decision came back too: a re-sent commit is a no-op *)
+  ok_exn (Dir.txn_commit revived ~txn:2 rig.root (name 'b') (Dir.Txn_enter f))
+
 let test_replace_versions () =
   let rig = make () in
   let v1 = file rig "v1" in
@@ -220,6 +248,7 @@ let suite =
       Alcotest.test_case "lookup missing" `Quick test_lookup_missing;
       Alcotest.test_case "duplicate enter rejected" `Quick test_enter_duplicate_rejected;
       Alcotest.test_case "empty name rejected" `Quick test_empty_name_rejected;
+      Alcotest.test_case "names up to 65,535 bytes, no longer" `Quick test_name_length_limit;
       Alcotest.test_case "replace stacks versions" `Quick test_replace_versions;
       Alcotest.test_case "version trimming deletes old Bullet files" `Quick
         test_version_trimming_deletes_old_files;

@@ -81,12 +81,18 @@ let test_cap_string_roundtrip () =
     if not (Cap.equal cap back) then Alcotest.failf "round trip broke: %s" (Cap.to_string cap)
   done
 
-(* wire decoding of arbitrary bytes *)
-let fuzz_wire_decode =
-  qtest "wire decode never raises" ~count:500
+(* decoding of arbitrary bytes: each result-returning decoder of wire
+   or stored bytes answers Ok or Error, never an exception *)
+let fuzz_decode =
+  qtest "decoders never raise on random bytes" ~count:500
     QCheck.(string_of_size (QCheck.Gen.int_range 0 300))
     (fun s ->
-      match Amoeba_rpc.Wire.decode (Bytes.of_string s) with Ok _ | Error _ -> true)
+      let b = Bytes.of_string s in
+      let never_raises = function Ok _ | Error _ -> true in
+      never_raises (Amoeba_rpc.Wire.decode b)
+      && never_raises (Amoeba_txn.Wal.decode_record b)
+      && never_raises (Amoeba_metrics.Metrics.decode_snapshot b)
+      && never_raises (Amoeba_disk.Image.decode_header b))
 
 (* a disk full of garbage must load with repairs or a clean error *)
 let fuzz_garbage_disk =
@@ -285,7 +291,7 @@ let suite =
       fuzz_dir;
       Alcotest.test_case "bullet survives fuzzing" `Quick test_bullet_survives_fuzzing;
       Alcotest.test_case "capability string form round-trips" `Quick test_cap_string_roundtrip;
-      fuzz_wire_decode;
+      fuzz_decode;
       fuzz_garbage_disk;
       Alcotest.test_case "server boots from repaired disk" `Quick
         test_server_boots_from_repaired_disk;

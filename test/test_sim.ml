@@ -4,6 +4,7 @@ open Helpers
 module Clock = Amoeba_sim.Clock
 module Prng = Amoeba_sim.Prng
 module Stats = Amoeba_sim.Stats
+module Codec = Amoeba_sim.Codec
 
 let test_clock_starts_at_zero () =
   let clock = Clock.create () in
@@ -125,6 +126,62 @@ let prop_float_in_bounds =
       let p = Prng.create ~seed in
       let v = Prng.float p bound in
       v >= 0. && v < bound)
+
+(* ---- Codec ---- *)
+
+(* The signed Int32 load must be masked back to [0, 2^32): values with
+   bit 31 set are where a missing mask shows. *)
+let prop_u32_roundtrip =
+  qtest "codec u32 round-trips over [0, 2^32)" ~count:1000
+    QCheck.(map (fun v -> v land 0xFFFF_FFFF) int)
+    (fun v ->
+      let b = Bytes.make 6 '\000' in
+      Codec.set_u32 b 1 v;
+      let buf = Buffer.create 4 in
+      Codec.add_u32 buf v;
+      Codec.get_u32 b 1 = v && Bytes.sub b 1 4 = Buffer.to_bytes buf)
+
+let prop_u48_roundtrip =
+  qtest "codec u48 round-trips over [0, 2^48)" ~count:1000
+    QCheck.(map (fun v -> Int64.logand v 0xFFFF_FFFF_FFFFL) int64)
+    (fun v ->
+      let b = Bytes.make 8 '\000' in
+      Codec.set_u48 b 1 v;
+      Int64.equal (Codec.get_u48 b 1) v)
+
+(* From every position of buffers up to 10 bytes long, each read either
+   fits or raises [Truncated]; none raises [Invalid_argument]. *)
+let test_reader_truncated () =
+  let module R = Codec.Reader in
+  let reads =
+    [
+      ("u8", 1, fun r -> ignore (R.u8 r : int));
+      ("u16", 2, fun r -> ignore (R.u16 r : int));
+      ("u32", 4, fun r -> ignore (R.u32 r : int));
+      ("i64", 8, fun r -> ignore (R.i64 r : int64));
+      ("string 3", 3, fun r -> ignore (R.string r 3 : string));
+      ("take 5", 5, fun r -> ignore (R.take r 5 : int));
+    ]
+  in
+  for len = 0 to 10 do
+    for pos = 0 to len do
+      List.iter
+        (fun (name, width, read) ->
+          let r = R.of_bytes (Bytes.make len 'x') in
+          ignore (R.take r pos : int);
+          match read r with
+          | () ->
+            if len - pos < width then
+              Alcotest.failf "%s at %d of %d read past the end" name pos len;
+            check_bool "at end" (len - pos = width) (R.at_end r)
+          | exception Codec.Truncated ->
+            if len - pos >= width then
+              Alcotest.failf "%s at %d of %d: spurious Truncated" name pos len)
+        reads
+    done
+  done;
+  Alcotest.check_raises "negative take" Codec.Truncated (fun () ->
+      ignore (R.take (R.of_bytes (Bytes.make 4 'x')) (-1) : int))
 
 let test_stats_counters () =
   let s = Stats.create "test" in
@@ -424,6 +481,9 @@ let suite =
       prop_int_in_bounds;
       prop_int_in_range;
       prop_float_in_bounds;
+      prop_u32_roundtrip;
+      prop_u48_roundtrip;
+      Alcotest.test_case "codec reader fails only with Truncated" `Quick test_reader_truncated;
       Alcotest.test_case "stats counters" `Quick test_stats_counters;
       Alcotest.test_case "stats counters sorted" `Quick test_stats_counters_sorted;
       Alcotest.test_case "stats summary" `Quick test_stats_summary;

@@ -14,6 +14,8 @@ module Client = Bullet_core.Client
 module Server = Bullet_core.Server
 module Fsck = Bullet_core.Fsck
 module Status = Amoeba_rpc.Status
+module Metrics = Amoeba_metrics.Metrics
+module Archiver = Amoeba_worm.Archiver
 
 (* ---- WAL codec ---- *)
 
@@ -72,11 +74,6 @@ let sample_record =
 
 let test_wal_decode_rejects () =
   let encoded = Wal.encode_record sample_record in
-  for len = 0 to Bytes.length encoded - 1 do
-    match Wal.decode_record (Bytes.sub encoded 0 len) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "truncation to %d bytes decoded" len
-  done;
   (match Wal.decode_record (Bytes.cat encoded (Bytes.of_string "x")) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing byte accepted");
@@ -85,6 +82,76 @@ let test_wal_decode_rejects () =
   match Wal.decode_record bad_tag with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown record tag accepted"
+
+(* ---- every decoder of stored bytes, cut at every length ---- *)
+
+let sample_snapshot =
+  {
+    Metrics.at_us = 12;
+    samples =
+      [
+        { Metrics.s_name = "a"; s_value = Metrics.Counter 1 };
+        {
+          Metrics.s_name = "h";
+          s_value = Metrics.Hist { count = 1; sum = 2; p50 = 3; p95 = 4; p99 = 5; max_value = 6 };
+        };
+      ];
+  }
+
+(* Each strict prefix of a valid encoding is an [Error], never an
+   exception. The two restores read their checkpoint from a Bullet file,
+   so each cut is stored with [Client.create] first. *)
+let test_truncation_is_an_error () =
+  let bullet = make_bullet () in
+  let client = bullet.client in
+  let stored restore data =
+    let cap = Client.create client data in
+    let rejected = Result.is_error (restore cap) in
+    Client.delete client cap;
+    rejected
+  in
+  let dirs = Dir.create ~store:client () in
+  let root = Dir.root dirs in
+  let f = Client.create client (Bytes.of_string "f") in
+  ok_exn (Dir.enter dirs root "bound" f);
+  ignore (Dir.make_dir dirs : Cap.t);
+  ok_exn (Dir.txn_prepare dirs ~txn:1 root "pending" (Dir.Txn_enter f));
+  ok_exn (Dir.txn_prepare dirs ~txn:2 root "gone" (Dir.Txn_replace f));
+  ok_exn (Dir.txn_commit dirs ~txn:2 root "gone" (Dir.Txn_replace f));
+  let platter = Amoeba_worm.Worm_device.create ~capacity:10_000 ~clock:bullet.rig.clock in
+  let archiver = Archiver.create ~store:client ~platter in
+  List.iter
+    (fun (name, contents) ->
+      let cap = Client.create client (Bytes.of_string contents) in
+      ignore (ok_exn (Archiver.archive_file archiver ~name cap) : Archiver.archived))
+    [ ("doc", "v1"); ("doc", "v2"); ("notes", "n") ];
+  let decoders =
+    [
+      ( "wal record",
+        Wal.encode_record sample_record,
+        fun b -> Result.is_error (Wal.decode_record b) );
+      ( "metrics snapshot",
+        Metrics.encode_snapshot sample_snapshot,
+        fun b -> Result.is_error (Metrics.decode_snapshot b) );
+      ( "directory checkpoint",
+        Client.read client (ok_exn (Dir.checkpoint dirs)),
+        stored (fun cap -> Dir.restore ~store:client cap) );
+      ( "archiver catalog",
+        Client.read client (ok_exn (Archiver.checkpoint archiver)),
+        stored (fun cap -> Archiver.restore ~store:client ~platter cap) );
+    ]
+  in
+  List.iter
+    (fun (name, encoded, rejects) ->
+      if rejects encoded then Alcotest.failf "%s: the whole encoding was rejected" name;
+      for len = 0 to Bytes.length encoded - 1 do
+        match rejects (Bytes.sub encoded 0 len) with
+        | true -> ()
+        | false -> Alcotest.failf "%s: truncation to %d bytes decoded" name len
+        | exception e ->
+          Alcotest.failf "%s: truncation to %d bytes raised %s" name len (Printexc.to_string e)
+      done)
+    decoders
 
 let test_wal_log_order () =
   let wal = Wal.create () in
@@ -204,6 +271,7 @@ let suite =
       Alcotest.test_case "wal codec round-trips 1k fuzzed records" `Quick
         test_wal_codec_roundtrip;
       Alcotest.test_case "wal decode rejects damage" `Quick test_wal_decode_rejects;
+      Alcotest.test_case "every decoder rejects every truncation" `Quick test_truncation_is_an_error;
       Alcotest.test_case "wal decodes in append order" `Quick test_wal_log_order;
       Alcotest.test_case "prepare locks the binding" `Quick test_prepare_locks_binding;
       Alcotest.test_case "prepare votes no on conflicts" `Quick test_prepare_votes_no;
