@@ -68,7 +68,8 @@ type stat = {
     the wire. *)
 
 val decode_stat : bytes -> stat
-(** Decode a STAT reply body (the inverse of the dispatcher's encoder). *)
+(** Decode a STAT reply body (the inverse of the dispatcher's encoder).
+    Raises {!Amoeba_sim.Codec.Truncated} on a short body. *)
 
 val status_snapshot : Server.t -> Amoeba_metrics.Metrics.snapshot
 (** Scrape the server's registry now (virtual time). *)
