@@ -74,6 +74,28 @@ let micro () =
             Amoeba_disk.Mirror.read_into mirror ~sector:0 ~count ~dst ~dst_off ~len)
       | None -> ()
   in
+  (* The client cache full with 1,024 16-byte files: each run inserts a
+     file not resident, which evicts the least recently used one. Keys
+     cycle through 2,048 capabilities, so the key inserted was evicted
+     1,024 runs ago. *)
+  let client_cache_evict =
+    let resident = 1024 and size = 16 in
+    let caps =
+      Array.init (2 * resident) (fun obj ->
+          Amoeba_cap.Capability.v ~port:(Amoeba_cap.Port.of_int64 1L) ~obj ~rights ~check)
+    in
+    let cache = Amoeba_lease.File_cache.create ~capacity_bytes:(resident * size) in
+    let data = Bytes.create size in
+    let next = ref 0 in
+    let insert () =
+      Amoeba_lease.File_cache.insert cache caps.(!next) data;
+      next := (!next + 1) mod Array.length caps
+    in
+    for _ = 1 to resident do
+      insert ()
+    done;
+    insert
+  in
   let tests =
     [
       Test.make ~name:"xtea_seal" (Staged.stage (fun () -> ignore (Amoeba_cap.Sealer.seal sealer ~random ~rights)));
@@ -85,6 +107,7 @@ let micro () =
       Test.make ~name:"extent_alloc_free_x32" (Staged.stage alloc_cycle);
       Test.make ~name:"cache_insert_get_remove_1k" (Staged.stage cache_cycle);
       Test.make ~name:"cache_miss_load_64k" (Staged.stage cache_miss_load);
+      Test.make ~name:"client_cache_evict_1k" (Staged.stage client_cache_evict);
       Test.make ~name:"prng_next" (Staged.stage (fun () -> ignore (Amoeba_sim.Prng.next_int64 prng)));
     ]
   in

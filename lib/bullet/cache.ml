@@ -1,19 +1,15 @@
+module Lru = Amoeba_sim.Lru
+
 type entry = { inode : int; mutable offset : int; length : int }
 
 type t = {
   storage : Bytes.t;
   alloc : Extent_alloc.t;
-  rnodes : entry option array; (* slot 0 unused: rnode indices are 1-based *)
-  (* The LRU order: a circular doubly linked list threaded through the
-     resident rnode indices, with index 0 as its sentinel. [next.(0)] is
-     the least recently used file, [prev.(0)] the most recent. *)
-  prev : int array;
-  next : int array;
-  free_rnodes : int Stack.t;
+  files : entry Lru.t; (* slots are the rnode indices *)
+  max_rnodes : int;
   on_evict : inode:int -> rnode:int -> unit;
   stats : Amoeba_sim.Stats.t;
   evicted_bytes : int ref; (* the [bytes_evicted] cell of [stats] *)
-  mutable resident : int;
   mutable used : int;
   mutable tracer : Amoeba_trace.Trace.ctx option;
 }
@@ -21,22 +17,15 @@ type t = {
 let create ~capacity ~max_rnodes ~on_evict =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";
   if max_rnodes <= 0 then invalid_arg "Cache.create: need at least one rnode";
-  let free_rnodes = Stack.create () in
   let stats = Amoeba_sim.Stats.create "cache" in
-  for i = max_rnodes downto 1 do
-    Stack.push i free_rnodes
-  done;
   {
     storage = Bytes.make capacity '\000';
     alloc = Extent_alloc.create ~start:0 ~length:capacity ();
-    rnodes = Array.make (max_rnodes + 1) None;
-    prev = Array.make (max_rnodes + 1) 0;
-    next = Array.make (max_rnodes + 1) 0;
-    free_rnodes;
+    files = Lru.create max_rnodes;
+    max_rnodes;
     on_evict;
     stats;
     evicted_bytes = Amoeba_sim.Stats.counter stats "bytes_evicted";
-    resident = 0;
     used = 0;
     tracer = None;
   }
@@ -47,42 +36,20 @@ let capacity t = Bytes.length t.storage
 
 let used_bytes t = t.used
 
-let resident_files t = t.resident
+let resident_files t = Lru.length t.files
 
-let unlink t i =
-  let p = t.prev.(i) and n = t.next.(i) in
-  t.next.(p) <- n;
-  t.prev.(n) <- p
-
-let push_newest t i =
-  let last = t.prev.(0) in
-  t.next.(last) <- i;
-  t.prev.(i) <- last;
-  t.next.(i) <- 0;
-  t.prev.(0) <- i
-
-let entry t rnode =
-  if rnode < 1 || rnode >= Array.length t.rnodes then
-    invalid_arg (Printf.sprintf "Cache: rnode %d out of range" rnode);
-  match t.rnodes.(rnode) with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Cache: rnode %d is free" rnode)
-
-let drop t rnode =
-  let e = entry t rnode in
+let remove t ~rnode =
+  let e = Lru.get t.files rnode in
   if e.length > 0 then Extent_alloc.free t.alloc ~start:e.offset ~length:e.length;
-  t.rnodes.(rnode) <- None;
-  unlink t rnode;
-  Stack.push rnode t.free_rnodes;
-  t.resident <- t.resident - 1;
+  Lru.remove t.files rnode;
   t.used <- t.used - e.length
 
 let evict_one t =
-  match t.next.(0) with
+  match Lru.oldest t.files with
   | 0 -> false
   | rnode ->
-    let e = entry t rnode in
-    drop t rnode;
+    let e = Lru.get t.files rnode in
+    remove t ~rnode;
     t.on_evict ~inode:e.inode ~rnode;
     Amoeba_sim.Stats.incr t.stats "evictions";
     t.evicted_bytes := !(t.evicted_bytes) + e.length;
@@ -97,8 +64,8 @@ let evict_one t =
    or the cache is empty and still too small. *)
 let make_room t ~inode n =
   let rec go () =
-    if Stack.is_empty t.free_rnodes then if evict_one t then go () else None
-    else if n = 0 then Some (-1)
+    if Lru.length t.files = t.max_rnodes then if evict_one t then go () else None
+    else if n = 0 then Some 0
     else
       match Extent_alloc.alloc t.alloc n with
       | Some offset -> Some offset
@@ -107,11 +74,7 @@ let make_room t ~inode n =
   match go () with
   | None -> None
   | Some offset ->
-    let rnode = Stack.pop t.free_rnodes in
-    let offset = if n = 0 then 0 else offset in
-    t.rnodes.(rnode) <- Some { inode; offset; length = n };
-    push_newest t rnode;
-    t.resident <- t.resident + 1;
+    let rnode = Lru.add t.files { inode; offset; length = n } in
     t.used <- t.used + n;
     Amoeba_sim.Stats.incr t.stats "insertions";
     Some rnode
@@ -124,48 +87,36 @@ let insert t ~inode data =
   match reserve t ~inode (Bytes.length data) with
   | None -> None
   | Some rnode ->
-    let e = entry t rnode in
+    let e = Lru.get t.files rnode in
     Bytes.blit data 0 t.storage e.offset e.length;
     Some rnode
 
-let refresh t rnode =
-  unlink t rnode;
-  push_newest t rnode
-
 let get t ~rnode =
-  let e = entry t rnode in
-  refresh t rnode;
+  let e = Lru.get t.files rnode in
+  Lru.touch t.files rnode;
   Bytes.sub t.storage e.offset e.length
 
 let sub t ~rnode ~pos ~len =
-  let e = entry t rnode in
+  let e = Lru.get t.files rnode in
   if pos < 0 || len < 0 || pos + len > e.length then invalid_arg "Cache.sub: range out of bounds";
-  refresh t rnode;
+  Lru.touch t.files rnode;
   Bytes.sub t.storage (e.offset + pos) len
 
 let fill t ~rnode f =
-  let e = entry t rnode in
+  let e = Lru.get t.files rnode in
   f t.storage e.offset e.length
 
-let inode_of t ~rnode = (entry t rnode).inode
+let inode_of t ~rnode = (Lru.get t.files rnode).inode
 
-let length_of t ~rnode = (entry t rnode).length
+let length_of t ~rnode = (Lru.get t.files rnode).length
 
-let remove t ~rnode =
-  let (_ : entry) = entry t rnode in
-  drop t rnode
-
-let touch t ~rnode =
-  let (_ : entry) = entry t rnode in
-  refresh t rnode
+let touch t ~rnode = Lru.touch t.files rnode
 
 let compact t =
   (* Collect resident segments in address order and slide each down to the
      end of the previous one. *)
   let segments = ref [] in
-  Array.iter
-    (fun slot -> match slot with Some e when e.length > 0 -> segments := e :: !segments | _ -> ())
-    t.rnodes;
+  Lru.iter (fun e -> if e.length > 0 then segments := e :: !segments) t.files;
   let ordered = List.sort (fun a b -> Int.compare a.offset b.offset) !segments in
   let moved = ref 0 in
   let next = ref 0 in

@@ -4,13 +4,12 @@
     Files are kept {e contiguous} in cache memory. A separate table of
     {e rnodes} administers cached files: each rnode holds the inode index
     of the file and a pointer (offset) into cache memory. The paper gives
-    each rnode an age field for LRU replacement; here the rnodes are
-    threaded on a doubly linked list in order of last use instead, so
-    finding the least-recently-used file costs O(1) rather than a scan of
-    the table, and picks the same file the smallest age would. Free cache
-    memory and free rnodes are kept on free lists; when space runs out the
-    least-recently-used file is evicted (paper §3). Because files are
-    contiguous, the cache can be compacted by sliding segments together. *)
+    each rnode an age field for LRU replacement; here the rnodes are the
+    slots of an {!Amoeba_sim.Lru}, which finds the least-recently-used
+    file in O(1) instead of by a scan, and picks the file the smallest
+    age would. It is evicted when cache memory or rnodes run out (paper
+    §3). Files are contiguous, so the cache can be compacted by sliding
+    segments together. *)
 
 type t
 

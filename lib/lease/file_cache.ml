@@ -1,4 +1,5 @@
 module Cap = Amoeba_cap.Capability
+module Lru = Amoeba_sim.Lru
 
 (* The client-side whole-file cache. Keys are the printable capability
    form — object number plus sealed check field — so a re-bound name
@@ -6,15 +7,13 @@ module Cap = Amoeba_cap.Capability
    Bullet files are immutable, so entries are never updated in place;
    consistency is entirely the lease layer's problem. *)
 
-type entry = { data : bytes; mutable age : int }
-
 type t = {
   capacity : int;
-  table : (string, entry) Hashtbl.t;
+  slots : (string, int) Hashtbl.t; (* key -> its slot in [files] *)
+  files : (string * bytes) Lru.t;
   stats : Amoeba_sim.Stats.t;
   evicted_bytes : int ref; (* the [bytes_evicted] cell of [stats] *)
   mutable used : int;
-  mutable tick : int;
   mutable tracer : Amoeba_trace.Trace.ctx option;
 }
 
@@ -23,11 +22,11 @@ let create ~capacity_bytes =
   let stats = Amoeba_sim.Stats.create "client-cache" in
   {
     capacity = capacity_bytes;
-    table = Hashtbl.create 64;
+    slots = Hashtbl.create 64;
+    files = Lru.create 64;
     stats;
     evicted_bytes = Amoeba_sim.Stats.counter stats "bytes_evicted";
     used = 0;
-    tick = 0;
     tracer = None;
   }
 
@@ -37,79 +36,57 @@ let capacity t = t.capacity
 
 let used_bytes t = t.used
 
-let resident_files t = Hashtbl.length t.table
+let resident_files t = Lru.length t.files
 
 let stats t = t.stats
 
-let next_age t =
-  t.tick <- t.tick + 1;
-  t.tick
-
 let find t cap =
-  match Hashtbl.find_opt t.table (Cap.to_string cap) with
-  | Some e ->
-    e.age <- next_age t;
+  match Hashtbl.find_opt t.slots (Cap.to_string cap) with
+  | Some slot ->
+    Lru.touch t.files slot;
     Amoeba_sim.Stats.incr t.stats "hits";
-    Some e.data
+    Some (snd (Lru.get t.files slot))
   | None ->
     Amoeba_sim.Stats.incr t.stats "misses";
     None
 
-let remove t cap =
-  let key = Cap.to_string cap in
-  match Hashtbl.find_opt t.table key with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove t.table key;
-    t.used <- t.used - Bytes.length e.data
+let drop t slot =
+  let key, data = Lru.get t.files slot in
+  Hashtbl.remove t.slots key;
+  Lru.remove t.files slot;
+  t.used <- t.used - Bytes.length data
 
-(* Deterministic LRU victim: the minimum age is unique (ages come from a
-   monotonic tick), so the scan order cannot affect the choice; the
-   sorted walk keeps even the tie-free scan order reproducible. *)
-let lru t =
-  let best = ref None in
-  Amoeba_sim.Tbl.sorted_iter String.compare
-    (fun key e ->
-      match !best with
-      | Some (_, b) when b.age <= e.age -> ()
-      | _ -> best := Some (key, e))
-    t.table;
-  !best
+let remove t cap = Option.iter (drop t) (Hashtbl.find_opt t.slots (Cap.to_string cap))
 
 let evict_one t =
-  match lru t with
-  | None -> false
-  | Some (key, e) ->
-    Hashtbl.remove t.table key;
-    t.used <- t.used - Bytes.length e.data;
+  match Lru.oldest t.files with
+  | 0 -> false
+  | slot ->
+    let len = Bytes.length (snd (Lru.get t.files slot)) in
+    drop t slot;
     Amoeba_sim.Stats.incr t.stats "evictions";
-    t.evicted_bytes := !(t.evicted_bytes) + Bytes.length e.data;
+    t.evicted_bytes := !(t.evicted_bytes) + len;
     (match t.tracer with
     | None -> ()
     | Some tr ->
       Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Cache ~name:"cache.client_evict"
-        [ ("bytes", Amoeba_trace.Sink.I (Bytes.length e.data)) ]);
+        [ ("bytes", Amoeba_trace.Sink.I len) ]);
     true
 
+(* Eviction stops at an empty cache, where [used] is 0 and the file fits. *)
 let insert t cap data =
   let len = Bytes.length data in
   if len > t.capacity then Amoeba_sim.Stats.incr t.stats "oversize_rejects"
   else begin
     remove t cap;
-    let stuck = ref false in
-    while t.used + len > t.capacity && not !stuck do
-      if not (evict_one t) then stuck := true
+    while t.used + len > t.capacity && evict_one t do
+      ()
     done;
-    if t.used + len <= t.capacity then begin
-      Hashtbl.replace t.table (Cap.to_string cap) { data; age = next_age t };
-      t.used <- t.used + len;
-      Amoeba_sim.Stats.incr t.stats "insertions"
-    end
+    let key = Cap.to_string cap in
+    Hashtbl.replace t.slots key (Lru.add t.files (key, data));
+    t.used <- t.used + len;
+    Amoeba_sim.Stats.incr t.stats "insertions"
   end
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.used <- 0
 
 let bytes_evicted t = !(t.evicted_bytes)
 

@@ -3,9 +3,9 @@
     The client analogue of the server's RAM cache: immutable Bullet files,
     keyed by their {e capability} (object number + sealed check field), so
     a name re-bound to a new version — a new capability — can never alias
-    stale bytes. Byte-bounded with LRU eviction on a deterministic
-    monotonic tick. Holds data only; whether a cached file may be served
-    without asking the server is the lease layer's decision
+    stale bytes. Byte-bounded, evicting the least recently used file
+    first ({!Amoeba_sim.Lru}). Holds data only; whether a cached file may
+    be served without asking the server is the lease layer's decision
     ({!Station}). *)
 
 type t
@@ -13,8 +13,8 @@ type t
 val create : capacity_bytes:int -> t
 
 val find : t -> Amoeba_cap.Capability.t -> bytes option
-(** Cached contents for this exact capability; refreshes its LRU age.
-    Counts [hits]/[misses]. *)
+(** Cached contents for this exact capability; makes it the most
+    recently used. Counts [hits]/[misses]. *)
 
 val insert : t -> Amoeba_cap.Capability.t -> bytes -> unit
 (** Cache a file, evicting LRU entries until it fits. A file larger than
@@ -22,8 +22,6 @@ val insert : t -> Amoeba_cap.Capability.t -> bytes -> unit
 
 val remove : t -> Amoeba_cap.Capability.t -> unit
 (** Drop one entry (revocation path); absent keys are ignored. *)
-
-val clear : t -> unit
 
 val capacity : t -> int
 

@@ -1,12 +1,12 @@
-type slot = { data : bytes; mutable age : int }
+module Lru = Amoeba_sim.Lru
 
 type t = {
   device : Amoeba_disk.Block_device.t;
   capacity : int; (* blocks *)
-  blocks : (int, slot) Hashtbl.t;
+  slots : (int, int) Hashtbl.t; (* block number -> its slot in [blocks] *)
+  blocks : (int * bytes) Lru.t;
   stats : Amoeba_sim.Stats.t;
   sectors_per_block : int;
-  mutable tick : int;
 }
 
 let create ~capacity_bytes ~device =
@@ -14,46 +14,33 @@ let create ~capacity_bytes ~device =
   {
     device;
     capacity;
-    blocks = Hashtbl.create 512;
+    slots = Hashtbl.create 512;
+    blocks = Lru.create capacity;
     stats = Amoeba_sim.Stats.create "buffer_cache";
     sectors_per_block = Ufs_layout.sectors_per_block (Amoeba_disk.Block_device.geometry device);
-    tick = 0;
   }
 
-let capacity_blocks t = t.capacity
+let drop t slot =
+  Hashtbl.remove t.slots (fst (Lru.get t.blocks slot));
+  Lru.remove t.blocks slot
 
-let resident_blocks t = Hashtbl.length t.blocks
+let invalidate t bno = Option.iter (drop t) (Hashtbl.find_opt t.slots bno)
 
-let next_age t =
-  t.tick <- t.tick + 1;
-  t.tick
-
-let evict_lru t =
-  let victim = ref None in
-  let consider bno slot =
-    match !victim with
-    | None -> victim := Some (bno, slot.age)
-    | Some (_, age) -> if slot.age < age then victim := Some (bno, slot.age)
-  in
-  Hashtbl.iter consider t.blocks;
-  match !victim with
-  | None -> ()
-  | Some (bno, _) ->
-    Hashtbl.remove t.blocks bno;
-    Amoeba_sim.Stats.incr t.stats "evictions"
-
+(* A resident [bno] is replaced in place, so only a new block can evict. *)
 let install t bno data =
-  while Hashtbl.length t.blocks >= t.capacity do
-    evict_lru t
-  done;
-  Hashtbl.replace t.blocks bno { data; age = next_age t }
+  invalidate t bno;
+  if Lru.length t.blocks >= t.capacity then begin
+    drop t (Lru.oldest t.blocks);
+    Amoeba_sim.Stats.incr t.stats "evictions"
+  end;
+  Hashtbl.replace t.slots bno (Lru.add t.blocks (bno, data))
 
 let read t bno =
-  match Hashtbl.find_opt t.blocks bno with
+  match Hashtbl.find_opt t.slots bno with
   | Some slot ->
-    slot.age <- next_age t;
+    Lru.touch t.blocks slot;
     Amoeba_sim.Stats.incr t.stats "hits";
-    Bytes.copy slot.data
+    Bytes.copy (snd (Lru.get t.blocks slot))
   | None ->
     Amoeba_sim.Stats.incr t.stats "misses";
     let data =
@@ -70,12 +57,7 @@ let write_through t bno data =
   Amoeba_sim.Stats.incr t.stats "writes";
   Amoeba_disk.Block_device.write t.device ~sector:(bno * t.sectors_per_block) data
 
-let invalidate t bno = Hashtbl.remove t.blocks bno
-
-let flush_all t = Hashtbl.reset t.blocks
-
 let flush_matching t predicate =
-  let victims = Hashtbl.fold (fun bno _ acc -> if predicate bno then bno :: acc else acc) t.blocks [] in
-  List.iter (Hashtbl.remove t.blocks) victims
+  List.iter (invalidate t) (List.filter predicate (Amoeba_sim.Tbl.sorted_keys Int.compare t.slots))
 
 let stats t = t.stats

@@ -10,23 +10,16 @@ type t
 val create : capacity_bytes:int -> device:Amoeba_disk.Block_device.t -> t
 (** Capacity is rounded down to whole fs blocks (at least one). *)
 
-val capacity_blocks : t -> int
-
-val resident_blocks : t -> int
-
 val read : t -> int -> bytes
 (** [read t bno] returns fs block [bno], from cache or disk. The returned
     buffer is a copy. *)
 
 val write_through : t -> int -> bytes -> unit
-(** Install the block in cache and write it to disk synchronously. The
-    data must be exactly one fs block. *)
+(** Install the block in cache, replacing a cached copy in place, and
+    write it to disk synchronously. The data must be exactly one fs block. *)
 
 val invalidate : t -> int -> unit
 (** Drop a block from cache (file removal). *)
-
-val flush_all : t -> unit
-(** Drop everything (cache is clean, so nothing is written). *)
 
 val flush_matching : t -> (int -> bool) -> unit
 (** Drop every cached block whose number satisfies the predicate. *)

@@ -70,6 +70,67 @@ let test_cache_keyed_by_capability () =
   check_bytes "new version intact" (Bytes.of_string "new")
     (Option.get (File_cache.find cache v2))
 
+(* Random find/insert/remove against a byte-bounded model that evicts the
+   minimum-age entry: every hit, miss and eviction must agree. *)
+let run_cache_model seed =
+  let prng = Amoeba_sim.Prng.create ~seed in
+  let capacity = 1_000 in
+  let cache = File_cache.create ~capacity_bytes:capacity in
+  (* obj -> (data, age) *)
+  let model = Hashtbl.create 16 in
+  let tick = ref 0 in
+  let age () =
+    incr tick;
+    !tick
+  in
+  let used () = Hashtbl.fold (fun _ (data, _) acc -> acc + Bytes.length data) model 0 in
+  let evictions = ref 0 in
+  let evict_oldest () =
+    let oldest =
+      Hashtbl.fold
+        (fun obj (_, a) best ->
+          match best with Some (_, b) when b <= a -> best | _ -> Some (obj, a))
+        model None
+    in
+    Option.iter
+      (fun (obj, _) ->
+        Hashtbl.remove model obj;
+        incr evictions)
+      oldest
+  in
+  for step = 1 to 400 do
+    let obj = Amoeba_sim.Prng.int prng 12 in
+    let cap = dummy_cap obj in
+    (match Amoeba_sim.Prng.int prng 5 with
+    | 0 | 1 -> (
+      match (File_cache.find cache cap, Hashtbl.find_opt model obj) with
+      | None, None -> ()
+      | Some got, Some (data, _) ->
+        check_bytes "hit" data got;
+        Hashtbl.replace model obj (data, age ())
+      | Some _, None -> Alcotest.failf "seed %Ld step %d: hit, model says miss" seed step
+      | None, Some _ -> Alcotest.failf "seed %Ld step %d: miss, model says hit" seed step)
+    | 2 | 3 ->
+      let data = Amoeba_sim.Prng.bytes prng (Amoeba_sim.Prng.int prng 450) in
+      File_cache.insert cache cap data;
+      Hashtbl.remove model obj;
+      while used () + Bytes.length data > capacity do
+        evict_oldest ()
+      done;
+      Hashtbl.replace model obj (data, age ())
+    | _ ->
+      File_cache.remove cache cap;
+      Hashtbl.remove model obj);
+    check_int "resident" (Hashtbl.length model) (File_cache.resident_files cache);
+    check_int "used" (used ()) (File_cache.used_bytes cache);
+    check_int "evictions" !evictions (Stats.count (File_cache.stats cache) "evictions")
+  done
+
+let test_cache_matches_min_age_oracle () =
+  for seed = 1 to 20 do
+    run_cache_model (Int64.of_int seed)
+  done
+
 (* ---- local capability verification ---- *)
 
 let test_verify_local () =
@@ -305,6 +366,8 @@ let suite =
       Alcotest.test_case "cache LRU eviction and evicted-bytes" `Quick test_cache_lru_eviction;
       Alcotest.test_case "cache oversize and remove" `Quick test_cache_oversize_and_remove;
       Alcotest.test_case "cache keyed by capability" `Quick test_cache_keyed_by_capability;
+      Alcotest.test_case "cache matches the min-age oracle" `Quick
+        test_cache_matches_min_age_oracle;
       Alcotest.test_case "local capability verification" `Quick test_verify_local;
       Alcotest.test_case "warm read issues zero RPCs" `Quick test_warm_read_zero_rpcs;
       Alcotest.test_case "untrusted warm read pays one RPC" `Quick

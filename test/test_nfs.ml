@@ -103,6 +103,70 @@ let test_bcache_invalidate () =
   let (_ : bytes) = Bcache.read cache 5 in
   check_int "re-read from disk" (misses + 1) (Stats.count (Bcache.stats cache) "misses")
 
+(* Rewriting a resident block (a read-modify-write) in a full cache
+   replaces it in place: nothing else is evicted. *)
+let test_bcache_rewrite_resident_keeps_others () =
+  let _clock, _dev, cache = make_cache 2 in
+  let (_ : bytes) = Bcache.read cache 1 in
+  let block = Bcache.read cache 2 in
+  Bcache.write_through cache 2 block;
+  check_int "no eviction" 0 (Stats.count (Bcache.stats cache) "evictions");
+  let (_ : bytes) = Bcache.read cache 1 in
+  check_int "1 still cached" 2 (Stats.count (Bcache.stats cache) "misses")
+
+(* Random read/write_through/invalidate against a model of a
+   [capacity]-block cache that evicts the minimum-age block: every hit,
+   miss and eviction must agree, and reads must return what is on disk. *)
+let run_bcache_model seed =
+  let prng = Amoeba_sim.Prng.create ~seed in
+  let capacity = 4 in
+  let _clock, dev, cache = make_cache capacity in
+  let sectors = L.fs_block_bytes / 512 in
+  (* bno -> age *)
+  let model = Hashtbl.create 16 in
+  let tick = ref 0 in
+  let age () =
+    incr tick;
+    !tick
+  in
+  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  let install bno =
+    if (not (Hashtbl.mem model bno)) && Hashtbl.length model >= capacity then begin
+      let oldest =
+        Hashtbl.fold
+          (fun b a best -> match best with Some (_, o) when o <= a -> best | _ -> Some (b, a))
+          model None
+      in
+      Option.iter (fun (b, _) -> Hashtbl.remove model b) oldest;
+      incr evictions
+    end;
+    Hashtbl.replace model bno (age ())
+  in
+  let count name = Stats.count (Bcache.stats cache) name in
+  for step = 1 to 300 do
+    let bno = Amoeba_sim.Prng.int prng 10 in
+    (match Amoeba_sim.Prng.int prng 4 with
+    | 0 | 1 ->
+      let got = Bcache.read cache bno in
+      if Hashtbl.mem model bno then incr hits else incr misses;
+      install bno;
+      check_bytes "read sees the disk" (Dev.peek dev ~sector:(bno * sectors) ~count:sectors) got
+    | 2 ->
+      Bcache.write_through cache bno (Amoeba_sim.Prng.bytes prng L.fs_block_bytes);
+      install bno
+    | _ ->
+      Bcache.invalidate cache bno;
+      Hashtbl.remove model bno);
+    if count "hits" <> !hits || count "misses" <> !misses || count "evictions" <> !evictions then
+      Alcotest.failf "seed %Ld step %d: hits/misses/evictions %d/%d/%d, model %d/%d/%d" seed step
+        (count "hits") (count "misses") (count "evictions") !hits !misses !evictions
+  done
+
+let test_bcache_matches_min_age_oracle () =
+  for seed = 1 to 20 do
+    run_bcache_model (Int64.of_int seed)
+  done
+
 (* ---- server operations ---- *)
 
 let test_write_read_roundtrip_sizes () =
@@ -334,6 +398,10 @@ let suite =
       Alcotest.test_case "buffer cache write-through persists" `Quick test_bcache_write_through_persists;
       Alcotest.test_case "buffer cache LRU eviction" `Quick test_bcache_lru_eviction;
       Alcotest.test_case "buffer cache invalidate" `Quick test_bcache_invalidate;
+      Alcotest.test_case "buffer cache rewrite of a resident block evicts nothing" `Quick
+        test_bcache_rewrite_resident_keeps_others;
+      Alcotest.test_case "buffer cache matches the min-age oracle" `Quick
+        test_bcache_matches_min_age_oracle;
       Alcotest.test_case "write/read roundtrip across sizes" `Quick test_write_read_roundtrip_sizes;
       Alcotest.test_case "single-indirect file" `Quick test_indirect_file;
       Alcotest.test_case "double-indirect sparse file" `Quick test_double_indirect_sparse;

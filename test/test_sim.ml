@@ -5,6 +5,7 @@ module Clock = Amoeba_sim.Clock
 module Prng = Amoeba_sim.Prng
 module Stats = Amoeba_sim.Stats
 module Codec = Amoeba_sim.Codec
+module Lru = Amoeba_sim.Lru
 
 let test_clock_starts_at_zero () =
   let clock = Clock.create () in
@@ -456,6 +457,104 @@ let test_eq_fuzz_vs_reference () =
   (* the fuzz deliberately floods same-time unpinned pushes *)
   Eq.clear_ties ()
 
+(* ---- Lru ---- *)
+
+(* Random add/touch/remove against a model that stamps each slot with a
+   fresh age: after every step [oldest] must be the minimum-age slot. *)
+let run_lru_model seed =
+  let prng = Prng.create ~seed in
+  let lru = Lru.create 4 in
+  (* slot -> (value, age) *)
+  let model = Hashtbl.create 16 in
+  let tick = ref 0 in
+  let age () =
+    incr tick;
+    !tick
+  in
+  let min_age () =
+    Hashtbl.fold
+      (fun slot (_, a) best ->
+        match best with Some (_, b) when b <= a -> best | _ -> Some (slot, a))
+      model None
+  in
+  let pick () =
+    match List.sort Int.compare (Hashtbl.fold (fun slot _ acc -> slot :: acc) model []) with
+    | [] -> None
+    | slots -> Some (List.nth slots (Prng.int prng (List.length slots)))
+  in
+  let peak = ref 0 in
+  for step = 1 to 400 do
+    (match Prng.int prng 4 with
+    | 0 | 1 ->
+      let slot = Lru.add lru step in
+      if Hashtbl.mem model slot then Alcotest.failf "seed %Ld: slot %d handed out twice" seed slot;
+      Hashtbl.replace model slot (step, age ())
+    | 2 ->
+      Option.iter
+        (fun slot ->
+          Lru.touch lru slot;
+          let v, _ = Hashtbl.find model slot in
+          Hashtbl.replace model slot (v, age ()))
+        (pick ())
+    | _ ->
+      Option.iter
+        (fun slot ->
+          Lru.remove lru slot;
+          Hashtbl.remove model slot)
+        (pick ()));
+    peak := max !peak (Lru.length lru);
+    check_int "length" (Hashtbl.length model) (Lru.length lru);
+    let expected = match min_age () with None -> 0 | Some (slot, _) -> slot in
+    if Lru.oldest lru <> expected then
+      Alcotest.failf "seed %Ld step %d: oldest %d, oracle says %d" seed step (Lru.oldest lru)
+        expected
+  done;
+  check_bool "grew past its initial size" true (!peak > 4);
+  Hashtbl.iter (fun slot (v, _) -> check_int "value" v (Lru.get lru slot)) model;
+  let by_age =
+    List.sort
+      (fun (_, a) (_, b) -> Int.compare a b)
+      (Hashtbl.fold (fun _ (v, a) acc -> (v, a) :: acc) model [])
+  in
+  let visited = ref [] in
+  Lru.iter (fun v -> visited := v :: !visited) lru;
+  Alcotest.(check (list int)) "iter runs oldest first" (List.map fst by_age) (List.rev !visited)
+
+let test_lru_matches_min_age_oracle () =
+  for seed = 1 to 20 do
+    run_lru_model (Int64.of_int seed)
+  done
+
+let test_lru_slot_reuse () =
+  let lru = Lru.create 2 in
+  let a = Lru.add lru "a" in
+  let b = Lru.add lru "b" in
+  let c = Lru.add lru "c" in
+  Alcotest.(check (list int)) "fresh slots count up, past the initial size" [ 1; 2; 3 ] [ a; b; c ];
+  Lru.remove lru b;
+  Lru.remove lru a;
+  check_int "last freed is reused first" a (Lru.add lru "d");
+  check_int "then the one freed before it" b (Lru.add lru "e");
+  check_int "then a fresh slot" 4 (Lru.add lru "f");
+  check_string "values follow their slots" "d" (Lru.get lru a)
+
+let test_lru_rejects_free_slots () =
+  let lru = Lru.create 2 in
+  check_int "empty has no oldest" 0 (Lru.oldest lru);
+  let s = Lru.add lru () in
+  Lru.remove lru s;
+  let rejects name f slot =
+    match f lru slot with
+    | () -> Alcotest.failf "%s of slot %d accepted" name slot
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun slot ->
+      rejects "get" Lru.get slot;
+      rejects "touch" Lru.touch slot;
+      rejects "remove" Lru.remove slot)
+    [ -1; 0; s; 2; 3 ]
+
 let suite =
   ( "sim",
     [
@@ -501,4 +600,9 @@ let suite =
       Alcotest.test_case "event queue rejects negative time" `Quick test_eq_rejects_negative_time;
       prop_eq_sorts;
       Alcotest.test_case "event queue fuzz vs reference model" `Quick test_eq_fuzz_vs_reference;
+      Alcotest.test_case "lru oldest matches the min-age oracle" `Quick
+        test_lru_matches_min_age_oracle;
+      Alcotest.test_case "lru hands out slots in order, reuses LIFO" `Quick test_lru_slot_reuse;
+      Alcotest.test_case "lru rejects free and out-of-range slots" `Quick
+        test_lru_rejects_free_slots;
     ] )
