@@ -68,7 +68,7 @@ let start ?(config = default_config) ?(seed = 0x42554C4C45545FL) mirror =
     let server =
       {
         mirror;
-        clock = Amoeba_disk.Block_device.clock (Amoeba_disk.Mirror.primary mirror);
+        clock = Amoeba_disk.Mirror.clock mirror;
         table;
         disk_alloc;
         cache;

@@ -41,22 +41,27 @@ let check_range t ~sector ~count ~op =
       (Printf.sprintf "Block_device.%s: range [%d, %d) out of bounds on %s" op sector
          (sector + count) t.device_id)
 
+let access_us t ~sector ~count ~write =
+  Geometry.access_us t.geometry ~sequential:(sector = t.head) ~write
+    (count * t.geometry.Geometry.sector_bytes)
+
 let charge t ~sector ~count ~write =
   let sequential = sector = t.head in
   let bytes = count * t.geometry.Geometry.sector_bytes in
+  let total_us = access_us t ~sector ~count ~write in
   (match t.tracer with
-  | None -> Amoeba_sim.Clock.advance t.clock (Geometry.access_us t.geometry ~sequential ~write bytes)
+  | None -> Amoeba_sim.Clock.advance t.clock total_us
   | Some tr ->
     (* Split the access charge into its mechanical components.  The three
-       spans advance exactly [Geometry.access_us] in total, so traced and
-       untraced runs tell identical time. *)
+       spans advance exactly [access_us] in total, so traced and untraced
+       runs tell identical time. *)
     let g = t.geometry in
     let seek_us = if sequential then 0 else g.Geometry.avg_seek_us in
     let rotate_us =
       (if sequential then 0 else g.Geometry.rotation_us / 2)
       + if write then g.Geometry.rotation_us / 2 else 0
     in
-    let xfer_us = g.Geometry.controller_us + Geometry.transfer_us g bytes in
+    let xfer_us = total_us - seek_us - rotate_us in
     if seek_us > 0 then begin
       Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.seek";
       Amoeba_sim.Clock.advance t.clock seek_us;
@@ -82,10 +87,11 @@ let charge t ~sector ~count ~write =
 
 let check_health t ~sector ~count ~write ~op =
   if t.failed then raise (Failure (Printf.sprintf "%s: drive failed during %s" t.device_id op));
-  for s = sector to sector + count - 1 do
-    if Hashtbl.mem t.bad_sectors s then
-      raise (Failure (Printf.sprintf "%s: bad sector %d during %s" t.device_id s op))
-  done;
+  if Hashtbl.length t.bad_sectors > 0 then
+    for s = sector to sector + count - 1 do
+      if Hashtbl.mem t.bad_sectors s then
+        raise (Failure (Printf.sprintf "%s: bad sector %d during %s" t.device_id s op))
+    done;
   match t.fault_hook with
   | Some hook when hook ~sector ~count ~write ->
     (* A transient media error: this access fails, the next may succeed.
@@ -184,6 +190,11 @@ let peek t ~sector ~count =
   check_range t ~sector ~count ~op:"peek";
   let sector_bytes = t.geometry.Geometry.sector_bytes in
   Bytes.sub t.storage (sector * sector_bytes) (count * sector_bytes)
+
+let peek_into t ~sector ~dst ~dst_off ~len =
+  let sector_bytes = t.geometry.Geometry.sector_bytes in
+  check_range t ~sector ~count:(max 1 (Geometry.sectors_for t.geometry len)) ~op:"peek";
+  Bytes.blit t.storage (sector * sector_bytes) dst dst_off len
 
 let poke t ~sector data =
   let sector_bytes = t.geometry.Geometry.sector_bytes in

@@ -39,6 +39,11 @@ val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:
     exception [dst] is untouched. Raises [Invalid_argument] if [len]
     exceeds [count] sectors or the destination range is out of [dst]. *)
 
+val access_us : t -> sector:int -> count:int -> write:bool -> int
+(** What an access of [count] sectors at [sector] would charge now:
+    {!Geometry.access_us}, sequential when the head sits at [sector].
+    Every timed access charges exactly this. Charges nothing itself. *)
+
 val write : t -> sector:int -> bytes -> unit
 (** [write t ~sector data] writes [data] — whose length must be a positive
     multiple of the sector size — starting at [sector], charging access
@@ -85,6 +90,10 @@ val stats : t -> Amoeba_sim.Stats.t
 
 val peek : t -> sector:int -> count:int -> bytes
 (** Read without charging time or stats; for tests and image inspection. *)
+
+val peek_into : t -> sector:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** {!peek} that lands [len] bytes from the start of [sector] in [dst] at
+    [dst_off] instead of allocating. *)
 
 val poke : t -> sector:int -> bytes -> unit
 (** Write without charging time or stats; for tests and image setup. *)

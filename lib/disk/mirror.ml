@@ -56,6 +56,8 @@ let drives t = Array.to_list (Array.map (fun s -> s.device) t.slots)
 
 let geometry t = Block_device.geometry t.slots.(0).device
 
+let clock t = t.clock
+
 let slot_live s = not (Block_device.is_failed s.device)
 
 let live_slots t = List.filter slot_live (Array.to_list t.slots)
@@ -120,10 +122,11 @@ let crash t = Queue.clear t.pending
 
 let pending_count t = Queue.length t.pending
 
-(* Serve a read from the first live slot that holds current bytes for the
-   range. A resyncing slot whose range is still dirty is passed over
-   (its bytes are stale) and remembered: once a good source answered, the
-   whole sectors are written back to every passed-over slot off the
+(* A read's range is stale on a resyncing slot that has not caught up
+   there yet: its bytes must not be served. *)
+let stale slot ~sector ~count = slot.syncing && Dirty.is_dirty slot.dirty ~sector ~count
+
+(* A passed-over stale slot gets the served range written back off the
    measured path — the read-repair that lets foreground traffic shrink
    the resync backlog instead of waiting behind it. The repair takes its
    bytes from the good drive uncharged, as the write is. *)
@@ -146,21 +149,28 @@ let read_repair t slot ~sector data =
     check_complete t slot
   | exception Block_device.Failure _ -> ()
 
-let rec read_from t ~sector ~count ~dst ~dst_off ~len ~stale = function
+(* The timed access for one piece of a read: the first slot in order
+   that holds current bytes for the range and does not fail serves it,
+   and is returned. Its bytes are not landed here ([len:0]), so a piece
+   that fails on every drive leaves the caller's buffer untouched. *)
+let rec read_from t ~sector ~count ~stale:passed = function
   | [] -> raise No_live_drive
   | slot :: others ->
-    if slot.syncing && Dirty.is_dirty slot.dirty ~sector ~count then begin
+    if stale slot ~sector ~count then begin
       Amoeba_sim.Stats.incr t.stats "resync_fallthroughs";
-      read_from t ~sector ~count ~dst ~dst_off ~len ~stale:(slot :: stale) others
+      read_from t ~sector ~count ~stale:(slot :: passed) others
     end
     else begin
-      match Block_device.read_into slot.device ~sector ~count ~dst ~dst_off ~len with
-      | () -> (
-        match List.rev stale with
+      match
+        Block_device.read_into slot.device ~sector ~count ~dst:Bytes.empty ~dst_off:0 ~len:0
+      with
+      | () ->
+        (match List.rev passed with
         | [] -> ()
-        | stale ->
+        | passed ->
           let data = Block_device.peek slot.device ~sector ~count in
-          List.iter (fun s -> read_repair t s ~sector data) stale)
+          List.iter (fun s -> read_repair t s ~sector data) passed);
+        slot
       | exception Block_device.Failure _ ->
         Amoeba_sim.Stats.incr t.stats "read_failovers";
         (match t.tracer with
@@ -168,23 +178,104 @@ let rec read_from t ~sector ~count ~dst ~dst_off ~len ~stale = function
         | Some tr ->
           Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.failover"
             [ ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device)) ]);
-        read_from t ~sector ~count ~dst ~dst_off ~len ~stale others
+        read_from t ~sector ~count ~stale:passed others
     end
+
+(* How a read is served. [In_order] is the whole range from the live
+   slots in order, passing over (and then repairing) stale ones to the
+   first current copy; [Whole s] the whole range from [s]; [Split (a, b)]
+   the first [count / 2] sectors from [a] and the rest from [b] at the
+   same time. *)
+type plan = In_order | Whole of slot | Split of slot * slot
+
+let usable slot ~sector ~count = slot_live slot && not (stale slot ~sector ~count)
+
+let read_cost slot ~sector ~count =
+  Block_device.access_us slot.device ~sector ~count ~write:false
+
+(* The strictly cheapest plan against the heads' current positions.
+   [In_order] costs what its first current slot charges, and ties go to
+   it, so a mirror with one current copy of the range (degraded, or
+   resyncing over it) reads in slot order, read-repair included. *)
+let cheapest t ~sector ~count =
+  let n = Array.length t.slots in
+  let best = ref In_order and best_us = ref 0 and first_seen = ref false in
+  for i = 0 to n - 1 do
+    let s = t.slots.(i) in
+    if usable s ~sector ~count then begin
+      let us = read_cost s ~sector ~count in
+      if not !first_seen then begin
+        first_seen := true;
+        best_us := us
+      end
+      else if us < !best_us then begin
+        best := Whole s;
+        best_us := us
+      end
+    end
+  done;
+  let half = count / 2 in
+  if half > 0 then
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let a = t.slots.(i) and b = t.slots.(j) in
+        if i <> j && usable a ~sector ~count && usable b ~sector ~count then begin
+          let us =
+            max (read_cost a ~sector ~count:half)
+              (read_cost b ~sector:(sector + half) ~count:(count - half))
+          in
+          if us < !best_us then begin
+            best := Split (a, b);
+            best_us := us
+          end
+        end
+      done
+    done;
+  !best
+
+let read_body t ~sector ~count ~dst ~dst_off ~len =
+  let sector_bytes = (geometry t).Geometry.sector_bytes in
+  if len < 0 || len > count * sector_bytes || dst_off < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "Mirror.read_into: destination range out of bounds";
+  drain t;
+  if live_count t < Array.length t.slots then begin
+    Amoeba_sim.Stats.incr t.stats "degraded_reads";
+    match t.tracer with
+    | None -> ()
+    | Some tr ->
+      Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.degraded" []
+  end;
+  let live = live_slots t in
+  (* Uncharged copy of the part [slot] served into the caller's first
+     [len] bytes: the timed access already paid for the transfer. *)
+  let deliver slot ~sector:at ~count:n =
+    let off = (at - sector) * sector_bytes in
+    let bytes = min len (off + (n * sector_bytes)) - off in
+    if bytes > 0 then
+      Block_device.peek_into slot.device ~sector:at ~dst ~dst_off:(dst_off + off) ~len:bytes
+  in
+  (* a piece asks its chosen slot first and fails over to the others *)
+  let serve s ~sector ~count =
+    read_from t ~sector ~count ~stale:[] (s :: List.filter (fun o -> o != s) live)
+  in
+  match cheapest t ~sector ~count with
+  | In_order -> deliver (read_from t ~sector ~count ~stale:[] live) ~sector ~count
+  | Whole s -> deliver (serve s ~sector ~count) ~sector ~count
+  | Split (a, b) ->
+    let half = count / 2 in
+    let pieces = [ (sector, half, a); (sector + half, count - half, b) ] in
+    let served =
+      Amoeba_sim.Clock.parallel t.clock
+        (List.map (fun (sector, count, s) () -> serve s ~sector ~count) pieces)
+    in
+    List.iter2 (fun (sector, count, _) slot -> deliver slot ~sector ~count) pieces served
 
 let read_into t ~sector ~count ~dst ~dst_off ~len =
   match t.tracer with
-  | None ->
-    drain t;
-    if live_count t < Array.length t.slots then Amoeba_sim.Stats.incr t.stats "degraded_reads";
-    read_from t ~sector ~count ~dst ~dst_off ~len ~stale:[] (live_slots t)
+  | None -> read_body t ~sector ~count ~dst ~dst_off ~len
   | Some tr ->
     Amoeba_trace.Trace.in_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.read" (fun () ->
-        drain t;
-        if live_count t < Array.length t.slots then begin
-          Amoeba_sim.Stats.incr t.stats "degraded_reads";
-          Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.degraded" []
-        end;
-        read_from t ~sector ~count ~dst ~dst_off ~len ~stale:[] (live_slots t))
+        read_body t ~sector ~count ~dst ~dst_off ~len)
 
 let read t ~sector ~count =
   let len = count * (geometry t).Geometry.sector_bytes in
@@ -276,9 +367,7 @@ let rejoin t =
 (* One clean, live source for a range: any other drive that is online
    and whose copy of the range is current. *)
 let source_for t slot ~sector ~count =
-  let ok s =
-    s != slot && slot_live s && not (s.syncing && Dirty.is_dirty s.dirty ~sector ~count)
-  in
+  let ok s = s != slot && usable s ~sector ~count in
   Array.fold_left (fun acc s -> match acc with Some _ -> acc | None -> if ok s then Some s else None) None t.slots
 
 let copy_run t ~src ~dst ~sector ~count =

@@ -1,9 +1,12 @@
 (** A set of identical replica drives.
 
     The Bullet server keeps N identical disks (the paper's configuration
-    has two): reads go to the primary (first live drive), writes go to all
-    live drives. The caller's P-FACTOR chooses how many replica writes are
-    on the critical path — the rest complete in the background
+    has two). A read is priced against each drive's head position and
+    served whole by one drive or in two halves by two drives at once,
+    whichever is strictly cheapest; a tie goes to the whole range from
+    the first live drive. Writes go to all live drives. The caller's
+    P-FACTOR chooses how many replica writes are on the critical path —
+    the rest complete in the background
     ({!Amoeba_sim.Clock.unobserved}), matching the paper's semantics where
     [BULLET.CREATE] replies once N disks hold the file but the server
     writes through to every disk regardless.
@@ -40,9 +43,8 @@ val geometry : t -> Geometry.t
 val live_count : t -> int
 (** Number of drives currently online. *)
 
-val primary : t -> Block_device.t
-(** The first live drive — the one reads are served from.
-    Raises {!No_live_drive}. *)
+val clock : t -> Amoeba_sim.Clock.t
+(** The simulation clock the drives charge time to. *)
 
 val sync_state : t -> sync_state
 
@@ -51,21 +53,28 @@ val sync_state_label : t -> string
     reports and dumps. *)
 
 val read : t -> sector:int -> count:int -> bytes
-(** Read from the first live drive holding current bytes for the range.
-    If the primary fails mid-read the next live drive is tried — the
-    paper's "if the main disk fails, the file server can proceed
-    uninterruptedly by using the other disk". A resyncing drive whose
-    copy of the range is still dirty is skipped the same way, and once a
-    good source has answered the data is written back to it off the
-    measured path (read-repair), clearing the range. *)
+(** Read the range from the drives holding current bytes for it. Each
+    plan — the whole range from one drive, or [count / 2] sectors from
+    one drive and the rest from another, in parallel — is priced with
+    {!Block_device.access_us} at the heads' current positions, and the
+    strictly cheapest runs; a tie goes to the whole range from the first
+    live drive. If a drive fails mid-read the next live drive serves its
+    part — the paper's "if the main disk fails, the file server can
+    proceed uninterruptedly by using the other disk". A resyncing drive
+    whose copy of the range is still dirty is skipped the same way, and
+    once a good source has answered the data is written back to it off
+    the measured path (read-repair), clearing the range. *)
 
 val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
 (** {!read} that lands the first [len] bytes of the [count] sectors in
-    [dst] at [dst_off] ({!Block_device.read_into}): the same drain,
-    failover, resync fall-through, charge, stats and [mirror.read] span.
-    Read-repair still writes whole sectors to a stale drive, taken from
-    the good drive without a charge. {!read} allocates its result and
-    calls this. *)
+    [dst] at [dst_off] ({!Block_device.read_into}): the same drain, plan,
+    failover, resync fall-through, charge, stats and [mirror.read] span
+    (with one [disk.read] child per drive access). The bytes land only
+    once every part of the read has succeeded, so on any exception [dst]
+    is untouched. Read-repair still writes whole sectors to a stale
+    drive, taken from the good drive without a charge. {!read} allocates
+    its result and calls this. Raises [Invalid_argument] if [len] exceeds
+    [count] sectors or the destination range is out of [dst]. *)
 
 val write : t -> sync:int -> sector:int -> bytes -> unit
 (** [write t ~sync ~sector data] writes to every live drive. The [sync]
@@ -91,10 +100,10 @@ val crash : t -> unit
 val pending_count : t -> int
 
 val recover : t -> unit
-(** Repair every failed drive and copy the primary's contents onto it —
-    the paper's whole-disk-copy recovery. Leaves the repaired drives
-    clean. Raises {!No_live_drive} if there is no live drive to copy
-    from. *)
+(** Repair every failed drive and copy the first live drive's contents
+    onto it — the paper's whole-disk-copy recovery. Leaves the repaired
+    drives clean. Raises {!No_live_drive} if there is no live drive to
+    copy from. *)
 
 val rejoin : t -> unit
 (** Bring every failed drive back online {e without} copying anything:

@@ -318,14 +318,28 @@ let load_experiment ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(think_ms = 5
     | Some p -> p.lp_clients
     | None -> List.length client_counts
   in
-  let overload_clients = max 2 (2 * saturation_pop) in
   (* The accept limit is the concurrency that reaches peak throughput,
      so admission control binds without starving the bottleneck.  Client
      patience must then exceed the in-service response at that
      concurrency (~8 x the 78 ms bottleneck demand) or admitted requests
-     abandon too; 2 s is comfortably above it and far below the
-     unbounded queue waits Block builds up. *)
-  let retry = Backoff.policy ~attempts:4 ~timeout_us:2_000_000 ~backoff_us:50_000 in
+     abandon too; 2 s is comfortably above it and below the unbounded
+     queue waits Block builds up at the overload population. *)
+  let patience_us = 2_000_000 in
+  (* The overload population: the smallest swept one at least twice
+     saturation whose plain-sweep mean response exceeds the patience, so
+     unbounded queueing really does outlast the clients. *)
+  let overload_clients =
+    match
+      List.find_opt
+        (fun p ->
+          p.lp_clients >= 2 * saturation_pop
+          && p.lp_mean_ms *. 1000. > float_of_int patience_us)
+        bullet.sl_points
+    with
+    | Some p -> p.lp_clients
+    | None -> max 2 (2 * saturation_pop)
+  in
+  let retry = Backoff.policy ~attempts:4 ~timeout_us:patience_us ~backoff_us:50_000 in
   let overload_point (name, policy) =
     let overload = { Sched.accept_limit = 8; policy; retry = Some retry } in
     let r =
@@ -469,7 +483,8 @@ let run () =
   server r.lr_bullet;
   server r.lr_nfs;
   Printf.printf
-    "\nOverload: %d clients (2x measured saturation) on bullet, accept limit 8,\n\
+    "\nOverload: %d clients (>= 2x measured saturation, mean response over\n\
+     the 2 s patience) on bullet, accept limit 8,\n\
      retrying clients (4 attempts, 2 s patience, 50 ms doubling backoff):\n"
     r.lr_overload_clients;
   Printf.printf "  %-9s %11s %9s %8s %10s %7s %6s %6s %8s %7s %6s\n" "policy" "goodput/s"
@@ -483,7 +498,7 @@ let run () =
   Printf.printf
     "  peak goodput over the plain sweep      %12.1f req/s\n\
     \  (claims: knee throughput beats the serial bound; Shed and Deadline\n\
-    \   hold goodput within 10%% of peak at 2x saturation; Block + retries\n\
+    \   hold goodput within 10%% of peak under overload; Block + retries\n\
     \   collapses into late work - checked by the experiment's assertions)\n"
     r.lr_peak_goodput;
   Printf.printf "  machine-readable copy written to BENCH_load.json\n";

@@ -189,12 +189,14 @@ let serve_cached t cap data =
     Clock.advance t.clock (Bytes.length data * 1_000_000 / copy_bytes_per_sec);
     Trace.end_span_attrs tr [ ("bytes", Sink.I (Bytes.length data)) ]);
   Stats.incr t.stats "leased_reads";
-  data
+  Bytes.copy data
 
+(* The cache keeps the fetched buffer; the caller gets its own copy, so
+   writing into a read's result cannot change what later reads serve. *)
 let fetch t cap =
   let data = retrying t 1 (fun () -> Bullet_core.Client.read t.store cap) in
   File_cache.insert t.cache cap data;
-  data
+  Bytes.copy data
 
 let read_body t dir name =
   Stats.incr t.stats "reads";

@@ -40,7 +40,8 @@ val read : t -> dir:Amoeba_cap.Capability.t -> string -> bytes
     cached file): zero RPCs. Lapsed lease: one [renew_lease] RPC; if the
     epoch moved, cached bindings and bytes for that directory are
     dropped and re-fetched. Unknown binding: one [lookup_lease] RPC.
-    Uncached file: a Bullet read, then the file is cached.
+    Uncached file: a Bullet read, then the file is cached. The result
+    is the caller's own copy, never the cached buffer.
     Raises {!Amoeba_rpc.Status.Error} as the underlying stubs do (e.g.
     [Not_found] after a DELETE). *)
 

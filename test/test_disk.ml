@@ -498,11 +498,192 @@ let test_mirror_read_into_repairs_whole_sectors () =
   check_bytes "read serves current bytes" (Bytes.sub (payload 1024) 0 600) dst;
   check_int "read-repair counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
   check_bytes "whole sectors repaired" (payload 1024) (Dev.peek d1 ~sector:500 ~count:2);
-  (* the repair is off the measured path: the charge is one two-sector read *)
-  let c, _, _, m' = read_into_rig () in
-  let before = Clock.now c in
-  ignore (Mirror.read m' ~sector:500 ~count:2);
-  check_int "repair uncharged" (Clock.now c - before) charged
+  (* the repair is off the measured path: the charge is one two-sector
+     read, with a seek (the survivor's head sits at 502) *)
+  check_int "repair uncharged"
+    (Geometry.access_us geometry ~sequential:false ~write:false 1024)
+    charged
+
+(* ---- reads priced against both heads ---- *)
+
+(* Random reads and writes on a two-drive mirror against two references:
+   a one-drive oracle for the bytes, and a mirror built here that reads
+   every range whole from drive 0, for the charge. No read may cost more
+   than the reference's, and every read must return the oracle's bytes. *)
+let test_mirror_read_plan_model () =
+  let sector_bytes = geometry.Geometry.sector_bytes in
+  let run seed =
+    let rng = Random.State.make [| seed |] in
+    let _clock, _, _, m = make_mirror () in
+    let _, oracle = make_dev ~id:"oracle" () in
+    let ref_clock = Clock.create () in
+    let r0 = Dev.create ~id:"r0" ~geometry ~clock:ref_clock
+    and r1 = Dev.create ~id:"r1" ~geometry ~clock:ref_clock in
+    (* the reference's write-behind, applied before its next operation *)
+    let pending = ref [] in
+    let ref_drain () =
+      List.iter
+        (fun (d, sector, data) -> Clock.unobserved ref_clock (fun () -> Dev.write d ~sector data))
+        (List.rev !pending);
+      pending := []
+    in
+    let last_end = ref 0 in
+    for step = 1 to 300 do
+      let count = 1 + Random.State.int rng 24 in
+      let sector =
+        if Random.State.int rng 3 = 0 && !last_end + count <= 1024 then !last_end
+        else Random.State.int rng (1024 - count + 1)
+      in
+      last_end := sector + count;
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      if Random.State.int rng 3 = 0 then begin
+        let data =
+          Bytes.init (count * sector_bytes) (fun _ -> Char.chr (Random.State.int rng 256))
+        in
+        let sync = Random.State.int rng 3 in
+        Mirror.write m ~sync ~sector data;
+        Dev.poke oracle ~sector data;
+        ref_drain ();
+        let writes = [ (r0, sector, data); (r1, sector, data) ] in
+        let foreground = List.filteri (fun i _ -> i < sync) writes in
+        ignore
+          (Clock.parallel ref_clock
+             (List.map (fun (d, sector, data) () -> Dev.write d ~sector data) foreground));
+        pending := List.rev (List.filteri (fun i _ -> i >= sync) writes)
+      end
+      else begin
+        let len = 1 + Random.State.int rng (count * sector_bytes) in
+        let dst_off = Random.State.int rng 8 in
+        let dst = Bytes.make (dst_off + len + 8) '?' in
+        let (), charged =
+          Clock.elapsed (Mirror.clock m) (fun () ->
+              Mirror.read_into m ~sector ~count ~dst ~dst_off ~len)
+        in
+        ref_drain ();
+        let (_ : bytes), reference =
+          Clock.elapsed ref_clock (fun () -> Dev.read r0 ~sector ~count)
+        in
+        check_bytes (what ^ ": oracle bytes")
+          (Bytes.sub (Dev.peek oracle ~sector ~count) 0 len)
+          (Bytes.sub dst dst_off len);
+        check_string (what ^ ": nothing before dst_off") (String.make dst_off '?')
+          (Bytes.sub_string dst 0 dst_off);
+        check_string (what ^ ": nothing past len") "????????"
+          (Bytes.sub_string dst (dst_off + len) 8);
+        if charged > reference then
+          Alcotest.failf "%s: read [%d, +%d) charged %d us, drive 0 alone %d us" what sector count
+            charged reference
+      end
+    done;
+    check_bool (Printf.sprintf "seed %d: drive 2 served reads" seed) true
+      (Stats.count (Dev.stats (List.nth (Mirror.drives m) 1)) "reads" > 0)
+  in
+  List.iter run [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* Heads together at sector 48 after a mirrored write: a read elsewhere
+   splits, drive 1 reading the first half and drive 2 the second. *)
+let split_rig () =
+  let clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:200 (payload (8 * 512));
+  Mirror.write m ~sync:2 ~sector:40 (payload (8 * 512));
+  (clock, d1, d2, m)
+
+let test_mirror_read_splits () =
+  let clock, d1, d2, m = split_rig () in
+  let ctx = Amoeba_trace.Trace.create ~clock () in
+  Mirror.set_tracer m (Some ctx);
+  let (), charged =
+    Clock.elapsed clock (fun () ->
+        check_bytes "split read bytes" (payload (8 * 512)) (Mirror.read m ~sector:200 ~count:8))
+  in
+  check_int "half the transfer, one seek"
+    (Geometry.access_us geometry ~sequential:false ~write:false (4 * 512))
+    charged;
+  check_int "drive 1 read the first half" 4 (Stats.count (Dev.stats d1) "sectors_read");
+  check_int "drive 2 read the second half" 4 (Stats.count (Dev.stats d2) "sectors_read");
+  let module Sink = Amoeba_trace.Sink in
+  let spans = Sink.spans (Amoeba_trace.Trace.sink ctx) in
+  match List.filter (fun s -> s.Sink.name = "mirror.read") spans with
+  | [ read ] ->
+    let children =
+      List.filter (fun s -> s.Sink.parent_id = read.Sink.span_id && s.Sink.name = "disk.read") spans
+    in
+    check_int "two disk.read children" 2 (List.length children);
+    check_bool "one per drive" true
+      (List.sort compare (List.map (fun s -> List.assoc "drive" s.Sink.attrs) children)
+      = [ Sink.S "d1"; Sink.S "d2" ])
+  | _ -> Alcotest.fail "expected one mirror.read span"
+
+let test_mirror_split_half_fails_over () =
+  let _clock, d1, d2, m = split_rig () in
+  let once = ref true in
+  Dev.set_fault_hook d2
+    (Some
+       (fun ~sector:_ ~count:_ ~write ->
+         let fire = (not write) && !once in
+         if fire then once := false;
+         fire));
+  let dst = Bytes.make (8 * 512) 'x' in
+  Mirror.read_into m ~sector:200 ~count:8 ~dst ~dst_off:0 ~len:(8 * 512);
+  check_bytes "both halves landed" (payload (8 * 512)) dst;
+  check_int "one failover" 1 (Stats.count (Mirror.stats m) "read_failovers");
+  check_int "drive 2 logged the soft error" 1 (Stats.count (Dev.stats d2) "transient_errors");
+  check_int "drive 1 served both halves" 8 (Stats.count (Dev.stats d1) "sectors_read")
+
+let test_mirror_split_bad_sector_one_drive () =
+  let _clock, d1, d2, m = split_rig () in
+  (* in the second half, on the drive that reads the second half *)
+  Dev.set_bad_sector d2 205;
+  let dst = Bytes.make (8 * 512) 'x' in
+  Mirror.read_into m ~sector:200 ~count:8 ~dst ~dst_off:0 ~len:(8 * 512);
+  check_bytes "served around the bad sector" (payload (8 * 512)) dst;
+  check_int "one failover" 1 (Stats.count (Mirror.stats m) "read_failovers");
+  check_int "drive 1 read everything" 8 (Stats.count (Dev.stats d1) "sectors_read");
+  check_int "drive 2 read nothing" 0 (Stats.count (Dev.stats d2) "sectors_read")
+
+let test_mirror_resync_read_stays_whole () =
+  let clock, d1, d2, m = split_rig () in
+  Dev.fail d1;
+  let fresh = Bytes.make (8 * 512) 'n' in
+  Mirror.write m ~sync:2 ~sector:200 fresh;
+  Mirror.rejoin m;
+  let reads1 = Stats.count (Dev.stats d1) "reads" and reads2 = Stats.count (Dev.stats d2) "reads" in
+  let (), charged =
+    Clock.elapsed clock (fun () ->
+        check_bytes "current bytes" fresh (Mirror.read m ~sector:200 ~count:8))
+  in
+  check_int "one whole read from the clean drive" (reads2 + 1) (Stats.count (Dev.stats d2) "reads");
+  check_int "the stale drive read nothing" reads1 (Stats.count (Dev.stats d1) "reads");
+  check_int "whole-range charge"
+    (Geometry.access_us geometry ~sequential:false ~write:false (8 * 512))
+    charged;
+  check_int "read-repair" 1 (Stats.count (Mirror.stats m) "read_repairs");
+  check_bytes "repaired" fresh (Dev.peek d1 ~sector:200 ~count:8)
+
+let test_mirror_degraded_charges_one_drive () =
+  (* every operation on a degraded mirror costs what it costs on the
+     surviving drive alone *)
+  let clock, _, d2, m = make_mirror () in
+  Dev.fail d2;
+  let lone_clock, lone = make_dev ~id:"lone" () in
+  let ops =
+    [ `Write (100, 8); `Read (100, 8); `Read (108, 4); `Read (600, 16); `Write (616, 2);
+      `Read (618, 1); `Read (10, 2) ]
+  in
+  List.iter
+    (fun op ->
+      let mirror_us, lone_us =
+        match op with
+        | `Write (sector, count) ->
+          let data = payload (count * 512) in
+          ( snd (Clock.elapsed clock (fun () -> Mirror.write m ~sync:2 ~sector data)),
+            snd (Clock.elapsed lone_clock (fun () -> Dev.write lone ~sector data)) )
+        | `Read (sector, count) ->
+          ( snd (Clock.elapsed clock (fun () -> ignore (Mirror.read m ~sector ~count))),
+            snd (Clock.elapsed lone_clock (fun () -> ignore (Dev.read lone ~sector ~count))) )
+      in
+      check_int "same charge as the lone drive" lone_us mirror_us)
+    ops
 
 let test_mirror_foreground_write_clears_dirty () =
   let _clock, _, d2, m = make_mirror () in
@@ -603,6 +784,16 @@ let suite =
       Alcotest.test_case "device read_into range check" `Quick test_read_into_rejects_long_len;
       Alcotest.test_case "mirror read_into repairs whole sectors" `Quick
         test_mirror_read_into_repairs_whole_sectors;
+      Alcotest.test_case "mirror read never costs more than drive 0 alone" `Quick
+        test_mirror_read_plan_model;
+      Alcotest.test_case "mirror read splits across both arms" `Quick test_mirror_read_splits;
+      Alcotest.test_case "mirror split half fails over" `Quick test_mirror_split_half_fails_over;
+      Alcotest.test_case "mirror split around a bad sector on one drive" `Quick
+        test_mirror_split_bad_sector_one_drive;
+      Alcotest.test_case "mirror read during resync stays whole" `Quick
+        test_mirror_resync_read_stays_whole;
+      Alcotest.test_case "mirror degraded read charges one drive" `Quick
+        test_mirror_degraded_charges_one_drive;
       Alcotest.test_case "dirty mark/clear/remaining" `Quick test_dirty_mark_clear;
       Alcotest.test_case "dirty mark_all" `Quick test_dirty_mark_all;
       Alcotest.test_case "dirty next_run bounded, not clearing" `Quick test_dirty_next_run;

@@ -199,6 +199,21 @@ let test_warm_read_zero_rpcs () =
     (Clock.now rig.b.rig.clock - t0 < 5_000);
   check_int "all served from cache" 5 (Stats.count (Station.stats st) "leased_reads")
 
+let test_read_result_is_a_copy () =
+  (* writing into a read's result must not reach the client cache *)
+  let rig = make_lease_rig () in
+  let st = station rig in
+  let data = payload 4_096 in
+  ignore (enter rig "hot" data);
+  let cold = Station.read st ~dir:rig.root "hot" in
+  Bytes.fill cold 0 4 'X';
+  let warm = Station.read st ~dir:rig.root "hot" in
+  check_bytes "warm read after writing into the cold result" data warm;
+  Bytes.fill warm 0 4 'Y';
+  check_bytes "warm read after writing into a warm result" data
+    (Station.read st ~dir:rig.root "hot");
+  check_int "both later reads were warm" 2 (Stats.count (Station.stats st) "leased_reads")
+
 let test_untrusted_warm_read_one_rpc () =
   let rig = make_lease_rig () in
   let st = station ~trusted:false rig in
@@ -370,6 +385,7 @@ let suite =
         test_cache_matches_min_age_oracle;
       Alcotest.test_case "local capability verification" `Quick test_verify_local;
       Alcotest.test_case "warm read issues zero RPCs" `Quick test_warm_read_zero_rpcs;
+      Alcotest.test_case "read result is the caller's copy" `Quick test_read_result_is_a_copy;
       Alcotest.test_case "untrusted warm read pays one RPC" `Quick
         test_untrusted_warm_read_one_rpc;
       Alcotest.test_case "expiry revalidates with one RPC" `Quick
