@@ -95,8 +95,10 @@ let attr_string attrs =
        attrs)
 
 let print_tree spans =
-  (* Parents begin no later than their children and carry smaller span
-     ids, so (begin_us, span_id) order lists each subtree in call order. *)
+  (* Depth first: each span, then its children in (begin_us, span_id)
+     order, so the subtrees of children that ran in parallel (the two
+     halves of a split mirrored read) do not interleave. A span whose
+     parent is not in the list prints as a root. *)
   let ordered =
     List.sort
       (fun (a : Sink.span) (b : Sink.span) ->
@@ -105,18 +107,26 @@ let print_tree spans =
         | c -> c)
       spans
   in
+  let children = Hashtbl.create 64 and ids = Hashtbl.create 64 in
+  (* [find_all] returns the latest binding first, so add in reverse *)
   List.iter
     (fun (s : Sink.span) ->
-      let indent = String.make (2 * s.Sink.depth) ' ' in
-      let label = Printf.sprintf "%s%s" indent s.Sink.name in
-      if s.Sink.end_us = s.Sink.begin_us then
-        Printf.printf "  [%-5s] %-36s @ %8d %s\n" (Sink.layer_name s.Sink.layer) label
-          s.Sink.begin_us (attr_string s.Sink.attrs)
-      else
-        Printf.printf "  [%-5s] %-36s %8d .. %8d (%7d us) %s\n"
-          (Sink.layer_name s.Sink.layer) label s.Sink.begin_us s.Sink.end_us
-          (s.Sink.end_us - s.Sink.begin_us) (attr_string s.Sink.attrs))
-    ordered
+      Hashtbl.add children s.Sink.parent_id s;
+      Hashtbl.replace ids s.Sink.span_id ())
+    (List.rev ordered);
+  let rec print (s : Sink.span) =
+    let indent = String.make (2 * s.Sink.depth) ' ' in
+    let label = Printf.sprintf "%s%s" indent s.Sink.name in
+    if s.Sink.end_us = s.Sink.begin_us then
+      Printf.printf "  [%-5s] %-36s @ %8d %s\n" (Sink.layer_name s.Sink.layer) label
+        s.Sink.begin_us (attr_string s.Sink.attrs)
+    else
+      Printf.printf "  [%-5s] %-36s %8d .. %8d (%7d us) %s\n"
+        (Sink.layer_name s.Sink.layer) label s.Sink.begin_us s.Sink.end_us
+        (s.Sink.end_us - s.Sink.begin_us) (attr_string s.Sink.attrs);
+    List.iter print (Hashtbl.find_all children s.Sink.span_id)
+  in
+  List.iter (fun (s : Sink.span) -> if not (Hashtbl.mem ids s.Sink.parent_id) then print s) ordered
 
 let print_attrib (t : Attrib.totals) =
   let pct part = if t.Attrib.total_us = 0 then 0. else 100. *. float_of_int part /. float_of_int t.Attrib.total_us in

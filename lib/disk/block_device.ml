@@ -106,51 +106,41 @@ let check_health t ~sector ~count ~write ~op =
     raise (Failure (Printf.sprintf "%s: transient error at sector %d during %s" t.device_id sector op))
   | _ -> ()
 
-let read_into t ~sector ~count ~dst ~dst_off ~len =
-  check_range t ~sector ~count ~op:"read";
-  let sector_bytes = t.geometry.Geometry.sector_bytes in
-  if len < 0 || len > count * sector_bytes || dst_off < 0 || dst_off + len > Bytes.length dst then
-    invalid_arg "Block_device.read_into: destination range out of bounds";
-  check_health t ~sector ~count ~write:false ~op:"read";
+(* The one timed access every read and write makes: range and health
+   checks, fault hook, span, charge, head movement and stats. It moves
+   no bytes; the callers do, once it has returned. *)
+let access t ~sector ~count ~write =
+  let op = if write then "write" else "read" in
+  check_range t ~sector ~count ~op;
+  check_health t ~sector ~count ~write ~op;
   (match t.tracer with
   | None -> ()
-  | Some tr -> Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.read");
-  charge t ~sector ~count ~write:false;
+  | Some tr ->
+    if write then
+      Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.write"
+    else Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.read");
+  charge t ~sector ~count ~write;
   (match t.tracer with
   | None -> ()
   | Some tr ->
     Amoeba_trace.Trace.end_span_attrs tr
       [ ("drive", Amoeba_trace.Sink.S t.device_id); ("sectors", Amoeba_trace.Sink.I count) ]);
-  Amoeba_sim.Stats.incr t.stats "reads";
-  Amoeba_sim.Stats.add t.stats "sectors_read" count;
-  Bytes.blit t.storage (sector * sector_bytes) dst dst_off len
+  Amoeba_sim.Stats.incr t.stats (if write then "writes" else "reads");
+  Amoeba_sim.Stats.add t.stats (if write then "sectors_written" else "sectors_read") count
 
-let read t ~sector ~count =
-  check_range t ~sector ~count ~op:"read";
-  let len = count * t.geometry.Geometry.sector_bytes in
-  let dst = Bytes.create len in
-  read_into t ~sector ~count ~dst ~dst_off:0 ~len;
-  dst
+let read_into t ~sector ~count ~dst ~dst_off ~len =
+  let sector_bytes = t.geometry.Geometry.sector_bytes in
+  if len < 0 || len > count * sector_bytes || dst_off < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "Block_device.read_into: destination range out of bounds";
+  access t ~sector ~count ~write:false;
+  Bytes.blit t.storage (sector * sector_bytes) dst dst_off len
 
 let write t ~sector data =
   let sector_bytes = t.geometry.Geometry.sector_bytes in
   let len = Bytes.length data in
   if len = 0 || len mod sector_bytes <> 0 then
     invalid_arg "Block_device.write: data must be a positive multiple of the sector size";
-  let count = len / sector_bytes in
-  check_range t ~sector ~count ~op:"write";
-  check_health t ~sector ~count ~write:true ~op:"write";
-  (match t.tracer with
-  | None -> ()
-  | Some tr -> Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.write");
-  charge t ~sector ~count ~write:true;
-  (match t.tracer with
-  | None -> ()
-  | Some tr ->
-    Amoeba_trace.Trace.end_span_attrs tr
-      [ ("drive", Amoeba_trace.Sink.S t.device_id); ("sectors", Amoeba_trace.Sink.I count) ]);
-  Amoeba_sim.Stats.incr t.stats "writes";
-  Amoeba_sim.Stats.add t.stats "sectors_written" count;
+  access t ~sector ~count:(len / sector_bytes) ~write:true;
   Bytes.blit data 0 t.storage (sector * sector_bytes) len
 
 let fail t = t.failed <- true
@@ -190,6 +180,10 @@ let peek t ~sector ~count =
   check_range t ~sector ~count ~op:"peek";
   let sector_bytes = t.geometry.Geometry.sector_bytes in
   Bytes.sub t.storage (sector * sector_bytes) (count * sector_bytes)
+
+let read t ~sector ~count =
+  access t ~sector ~count ~write:false;
+  peek t ~sector ~count
 
 let peek_into t ~sector ~dst ~dst_off ~len =
   let sector_bytes = t.geometry.Geometry.sector_bytes in

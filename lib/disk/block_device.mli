@@ -33,11 +33,19 @@ val read : t -> sector:int -> count:int -> bytes
 val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
 (** [read_into t ~sector ~count ~dst ~dst_off ~len] is {!read} that lands
     the first [len] bytes of the [count] sectors in [dst] at [dst_off]
-    instead of allocating: the same checks, access charge, stats, head
-    movement and [disk.read] span, because the drive still transfers
-    whole sectors. [len] may stop short of the last sector's end. On any
+    instead of allocating: the same {!access}, because the drive still
+    transfers whole sectors. [len] may stop short of the last sector's end. On any
     exception [dst] is untouched. Raises [Invalid_argument] if [len]
     exceeds [count] sectors or the destination range is out of [dst]. *)
+
+val access : t -> sector:int -> count:int -> write:bool -> unit
+(** The timed access alone, which {!read}, {!read_into} and {!write}
+    each make once before moving their bytes: the range and health
+    checks, the fault hook, the [disk.read]/[disk.write] span, the
+    charge, the head movement and the stats. Moves no bytes, so a
+    caller that needs them takes them with {!peek_into} afterwards (the
+    mirror does, once every part of a read has succeeded). Same
+    exceptions as {!read}. *)
 
 val access_us : t -> sector:int -> count:int -> write:bool -> int
 (** What an access of [count] sectors at [sector] would charge now:

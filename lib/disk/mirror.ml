@@ -65,9 +65,6 @@ let live_slots t = List.filter slot_live (Array.to_list t.slots)
 let live_count t =
   Array.fold_left (fun n s -> if slot_live s then n + 1 else n) 0 t.slots
 
-let primary t =
-  match live_slots t with s :: _ -> s.device | [] -> raise No_live_drive
-
 let sync_state t =
   if Array.exists (fun s -> not (slot_live s)) t.slots then Degraded
   else if Array.exists (fun s -> s.syncing) t.slots then
@@ -122,15 +119,19 @@ let crash t = Queue.clear t.pending
 
 let pending_count t = Queue.length t.pending
 
-(* A read's range is stale on a resyncing slot that has not caught up
-   there yet: its bytes must not be served. *)
-let stale slot ~sector ~count = slot.syncing && Dirty.is_dirty slot.dirty ~sector ~count
+(* A slot may serve a range, or be copied from, when it is online and
+   its copy of the range is current: a resyncing slot that has not
+   caught up there yet holds stale bytes. *)
+let current slot ~sector ~count =
+  slot_live slot && not (slot.syncing && Dirty.is_dirty slot.dirty ~sector ~count)
 
-(* A passed-over stale slot gets the served range written back off the
-   measured path — the read-repair that lets foreground traffic shrink
-   the resync backlog instead of waiting behind it. The repair takes its
-   bytes from the good drive uncharged, as the write is. *)
-let read_repair t slot ~sector data =
+(* A live slot whose copy of a range just served from [src] is stale
+   gets the range written back off the measured path — the read-repair
+   that lets foreground traffic shrink the resync backlog instead of
+   waiting behind it. The repair takes its bytes from [src] uncharged,
+   as the write is. *)
+let read_repair t slot ~src ~sector ~count =
+  Amoeba_sim.Stats.incr t.stats "resync_fallthroughs";
   Amoeba_sim.Stats.incr t.stats "read_repairs";
   (match t.tracer with
   | None -> ()
@@ -140,98 +141,92 @@ let read_repair t slot ~sector data =
         ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device));
         ("sector", Amoeba_trace.Sink.I sector);
       ]);
+  let data = Block_device.peek src.device ~sector ~count in
   match
     Amoeba_sim.Clock.unobserved t.clock (fun () ->
         Block_device.write slot.device ~sector data)
   with
   | () ->
-    Dirty.clear slot.dirty ~sector ~count:(sector_count_of t data);
+    Dirty.clear slot.dirty ~sector ~count;
     check_complete t slot
   | exception Block_device.Failure _ -> ()
 
-(* The timed access for one piece of a read: the first slot in order
-   that holds current bytes for the range and does not fail serves it,
-   and is returned. Its bytes are not landed here ([len:0]), so a piece
-   that fails on every drive leaves the caller's buffer untouched. *)
-let rec read_from t ~sector ~count ~stale:passed = function
-  | [] -> raise No_live_drive
-  | slot :: others ->
-    if stale slot ~sector ~count then begin
-      Amoeba_sim.Stats.incr t.stats "resync_fallthroughs";
-      read_from t ~sector ~count ~stale:(slot :: passed) others
-    end
-    else begin
-      match
-        Block_device.read_into slot.device ~sector ~count ~dst:Bytes.empty ~dst_off:0 ~len:0
-      with
-      | () ->
-        (match List.rev passed with
-        | [] -> ()
-        | passed ->
-          let data = Block_device.peek slot.device ~sector ~count in
-          List.iter (fun s -> read_repair t s ~sector data) passed);
-        slot
-      | exception Block_device.Failure _ ->
-        Amoeba_sim.Stats.incr t.stats "read_failovers";
-        (match t.tracer with
-        | None -> ()
-        | Some tr ->
-          Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.failover"
-            [ ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device)) ]);
-        read_from t ~sector ~count ~stale:passed others
-    end
+(* One piece's timed access on [slot]; [false] if the drive raised. *)
+let attempt t slot ~sector ~count =
+  match Block_device.access slot.device ~sector ~count ~write:false with
+  | () -> true
+  | exception Block_device.Failure _ ->
+    Amoeba_sim.Stats.incr t.stats "read_failovers";
+    (match t.tracer with
+    | None -> ()
+    | Some tr ->
+      Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.failover"
+        [ ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device)) ]);
+    false
 
-(* How a read is served. [In_order] is the whole range from the live
-   slots in order, passing over (and then repairing) stale ones to the
-   first current copy; [Whole s] the whole range from [s]; [Split (a, b)]
-   the first [count / 2] sectors from [a] and the rest from [b] at the
-   same time. *)
-type plan = In_order | Whole of slot | Split of slot * slot
-
-let usable slot ~sector ~count = slot_live slot && not (stale slot ~sector ~count)
+(* A piece whose drive raised goes to the other current slots in slot
+   order, one access after another. *)
+let fail_over t ~failed ~sector ~count =
+  let n = Array.length t.slots in
+  let rec from i =
+    if i = n then raise No_live_drive
+    else
+      let s = t.slots.(i) in
+      if s != failed && current s ~sector ~count && attempt t s ~sector ~count then s
+      else from (i + 1)
+  in
+  from 0
 
 let read_cost slot ~sector ~count =
   Block_device.access_us slot.device ~sector ~count ~write:false
 
-(* The strictly cheapest plan against the heads' current positions.
-   [In_order] costs what its first current slot charges, and ties go to
-   it, so a mirror with one current copy of the range (degraded, or
-   resyncing over it) reads in slot order, read-repair included. *)
-let cheapest t ~sector ~count =
-  let n = Array.length t.slots in
-  let best = ref In_order and best_us = ref 0 and first_seen = ref false in
-  for i = 0 to n - 1 do
-    let s = t.slots.(i) in
-    if usable s ~sector ~count then begin
-      let us = read_cost s ~sector ~count in
-      if not !first_seen then begin
-        first_seen := true;
-        best_us := us
-      end
-      else if us < !best_us then begin
-        best := Whole s;
+(* The pieces of a read, each [(sector, count, slot)]: the strictly
+   cheapest, against the heads' current positions, of the whole range
+   from one current slot and the first [count / 2] sectors from one with
+   the rest from another at once. A tie goes to the whole range from the
+   first current slot. *)
+let plan t ~sector ~count =
+  let n = Array.length t.slots and half = count / 2 in
+  (* the best so far: slot [a] alone, or [a] then [b] *)
+  let best_a = ref (-1) and best_b = ref (-1) and best_us = ref max_int in
+  for a = 0 to n - 1 do
+    if current t.slots.(a) ~sector ~count then begin
+      let us = read_cost t.slots.(a) ~sector ~count in
+      if us < !best_us then begin
+        best_a := a;
         best_us := us
       end
     end
   done;
-  let half = count / 2 in
   if half > 0 then
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let a = t.slots.(i) and b = t.slots.(j) in
-        if i <> j && usable a ~sector ~count && usable b ~sector ~count then begin
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if a <> b && current t.slots.(a) ~sector ~count && current t.slots.(b) ~sector ~count
+        then begin
           let us =
-            max (read_cost a ~sector ~count:half)
-              (read_cost b ~sector:(sector + half) ~count:(count - half))
+            max
+              (read_cost t.slots.(a) ~sector ~count:half)
+              (read_cost t.slots.(b) ~sector:(sector + half) ~count:(count - half))
           in
           if us < !best_us then begin
-            best := Split (a, b);
+            best_a := a;
+            best_b := b;
             best_us := us
           end
         end
       done
     done;
-  !best
+  if !best_a < 0 then raise No_live_drive
+  else if !best_b < 0 then [ (sector, count, t.slots.(!best_a)) ]
+  else [ (sector, half, t.slots.(!best_a)); (sector + half, count - half, t.slots.(!best_b)) ]
+
+(* Once a piece is served from [src], every live slot whose copy of its
+   range is stale is repaired from it. *)
+let repair_stale t ~src ~sector ~count =
+  for i = 0 to Array.length t.slots - 1 do
+    let s = t.slots.(i) in
+    if slot_live s && not (current s ~sector ~count) then read_repair t s ~src ~sector ~count
+  done
 
 let read_body t ~sector ~count ~dst ~dst_off ~len =
   let sector_bytes = (geometry t).Geometry.sector_bytes in
@@ -245,30 +240,30 @@ let read_body t ~sector ~count ~dst ~dst_off ~len =
     | Some tr ->
       Amoeba_trace.Trace.event tr ~layer:Amoeba_trace.Sink.Disk ~name:"mirror.degraded" []
   end;
-  let live = live_slots t in
-  (* Uncharged copy of the part [slot] served into the caller's first
-     [len] bytes: the timed access already paid for the transfer. *)
-  let deliver slot ~sector:at ~count:n =
-    let off = (at - sector) * sector_bytes in
-    let bytes = min len (off + (n * sector_bytes)) - off in
-    if bytes > 0 then
-      Block_device.peek_into slot.device ~sector:at ~dst ~dst_off:(dst_off + off) ~len:bytes
+  let pieces = plan t ~sector ~count in
+  let ok =
+    Amoeba_sim.Clock.parallel t.clock
+      (List.map (fun (sector, count, s) () -> attempt t s ~sector ~count) pieces)
   in
-  (* a piece asks its chosen slot first and fails over to the others *)
-  let serve s ~sector ~count =
-    read_from t ~sector ~count ~stale:[] (s :: List.filter (fun o -> o != s) live)
+  (* Failover runs after the parallel step, so a drive that takes over
+     the other piece's range reads it after its own. *)
+  let served =
+    List.map2
+      (fun (sector, count, s) ok ->
+        let src = if ok then s else fail_over t ~failed:s ~sector ~count in
+        repair_stale t ~src ~sector ~count;
+        src)
+      pieces ok
   in
-  match cheapest t ~sector ~count with
-  | In_order -> deliver (read_from t ~sector ~count ~stale:[] live) ~sector ~count
-  | Whole s -> deliver (serve s ~sector ~count) ~sector ~count
-  | Split (a, b) ->
-    let half = count / 2 in
-    let pieces = [ (sector, half, a); (sector + half, count - half, b) ] in
-    let served =
-      Amoeba_sim.Clock.parallel t.clock
-        (List.map (fun (sector, count, s) () -> serve s ~sector ~count) pieces)
-    in
-    List.iter2 (fun (sector, count, _) slot -> deliver slot ~sector ~count) pieces served
+  (* Uncharged copy of what each piece served into the caller's first
+     [len] bytes: the timed accesses already paid for the transfer. *)
+  List.iter2
+    (fun (at, n, _) src ->
+      let off = (at - sector) * sector_bytes in
+      let bytes = min len (off + (n * sector_bytes)) - off in
+      if bytes > 0 then
+        Block_device.peek_into src.device ~sector:at ~dst ~dst_off:(dst_off + off) ~len:bytes)
+    pieces served
 
 let read_into t ~sector ~count ~dst ~dst_off ~len =
   match t.tracer with
@@ -335,16 +330,21 @@ let all_clean slot =
 
 let recover t =
   drain t;
-  let src = primary t in
-  let fix slot =
-    if Block_device.is_failed slot.device then begin
-      Block_device.repair slot.device;
-      Block_device.copy_from ~src ~dst:slot.device;
-      all_clean slot;
-      Amoeba_sim.Stats.incr t.stats "resyncs"
-    end
-  in
-  Array.iter fix t.slots
+  if live_count t < Array.length t.slots then begin
+    let whole = (geometry t).Geometry.sector_count in
+    match Array.find_opt (fun s -> current s ~sector:0 ~count:whole) t.slots with
+    | None -> raise No_live_drive
+    | Some src ->
+      let fix slot =
+        if not (slot_live slot) then begin
+          Block_device.repair slot.device;
+          Block_device.copy_from ~src:src.device ~dst:slot.device;
+          all_clean slot;
+          Amoeba_sim.Stats.incr t.stats "resyncs"
+        end
+      in
+      Array.iter fix t.slots
+  end
 
 let rejoin t =
   drain t;
@@ -364,12 +364,6 @@ let rejoin t =
       end)
     t.slots
 
-(* One clean, live source for a range: any other drive that is online
-   and whose copy of the range is current. *)
-let source_for t slot ~sector ~count =
-  let ok s = s != slot && usable s ~sector ~count in
-  Array.fold_left (fun acc s -> match acc with Some _ -> acc | None -> if ok s then Some s else None) None t.slots
-
 let copy_run t ~src ~dst ~sector ~count =
   let data = Block_device.read src.device ~sector ~count in
   Block_device.write dst.device ~sector data;
@@ -381,8 +375,7 @@ let copy_run t ~src ~dst ~sector ~count =
 let resync_step ?(batch = 256) t =
   if batch <= 0 then invalid_arg "Mirror.resync_step: batch must be positive";
   drain t;
-  let next acc s = match acc with Some _ -> acc | None -> if s.syncing && slot_live s then Some s else None in
-  match Array.fold_left next None t.slots with
+  match Array.find_opt (fun s -> s.syncing && slot_live s) t.slots with
   | None -> 0
   | Some slot -> (
     match Dirty.next_run slot.dirty ~limit:batch with
@@ -390,29 +383,29 @@ let resync_step ?(batch = 256) t =
       check_complete t slot;
       0
     | Some (sector, count) -> (
-      match source_for t slot ~sector ~count with
+      match Array.find_opt (fun s -> s != slot && current s ~sector ~count) t.slots with
       | None -> 0 (* no clean replica to copy from; stay as we are *)
-      | Some src -> (
-        match t.tracer with
-        | None -> (
+      | Some src ->
+        (match t.tracer with
+        | None -> ()
+        | Some tr ->
+          Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.resync");
+        let copied =
           match copy_run t ~src ~dst:slot ~sector ~count with
           | () -> count
-          | exception Block_device.Failure _ -> 0)
+          | exception Block_device.Failure _ -> 0
+        in
+        (match t.tracer with
+        | None -> ()
         | Some tr ->
-          Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.resync";
-          let copied =
-            match copy_run t ~src ~dst:slot ~sector ~count with
-            | () -> count
-            | exception Block_device.Failure _ -> 0
-          in
           Amoeba_trace.Trace.end_span_attrs tr
             [
               ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device));
               ("sector", Amoeba_trace.Sink.I sector);
               ("count", Amoeba_trace.Sink.I copied);
               ("remaining", Amoeba_trace.Sink.I (Dirty.remaining slot.dirty));
-            ];
-          copied)))
+            ]);
+        copied))
 
 let stats t = t.stats
 

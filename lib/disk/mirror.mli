@@ -1,10 +1,13 @@
 (** A set of identical replica drives.
 
     The Bullet server keeps N identical disks (the paper's configuration
-    has two). A read is priced against each drive's head position and
-    served whole by one drive or in two halves by two drives at once,
-    whichever is strictly cheapest; a tie goes to the whole range from
-    the first live drive. Writes go to all live drives. The caller's
+    has two). A read is one or two pieces, each a range on one drive:
+    the whole range from one drive, or two halves from two drives at
+    once, whichever is strictly cheaper against the heads' positions; a
+    tie goes to the whole range from the first eligible drive. Only
+    drives that are live and hold current bytes for the range are
+    eligible, and the same test picks failover targets, resync sources
+    and the {!recover} source. Writes go to all live drives. The caller's
     P-FACTOR chooses how many replica writes are on the critical path —
     the rest complete in the background
     ({!Amoeba_sim.Clock.unobserved}), matching the paper's semantics where
@@ -15,10 +18,10 @@
     supports {e online resync}: each drive carries a dirty-sector map
     ({!Dirty}), a failed drive can {!rejoin} fully dirty, and a scheduler
     drains the backlog in bounded batches ({!resync_step}) interleaved
-    with foreground I/O. Foreground reads that hit a still-dirty range on
-    a resyncing drive fall through to a clean replica and read-repair the
-    range off the measured path, so serving traffic shrinks the backlog
-    instead of waiting behind it. *)
+    with foreground I/O. A foreground read never uses a drive whose copy
+    of the range is still dirty, and once a piece is served it repairs
+    that range on every such drive off the measured path, so serving
+    traffic shrinks the backlog instead of waiting behind it. *)
 
 type t
 
@@ -53,23 +56,28 @@ val sync_state_label : t -> string
     reports and dumps. *)
 
 val read : t -> sector:int -> count:int -> bytes
-(** Read the range from the drives holding current bytes for it. Each
-    plan — the whole range from one drive, or [count / 2] sectors from
-    one drive and the rest from another, in parallel — is priced with
-    {!Block_device.access_us} at the heads' current positions, and the
-    strictly cheapest runs; a tie goes to the whole range from the first
-    live drive. If a drive fails mid-read the next live drive serves its
-    part — the paper's "if the main disk fails, the file server can
-    proceed uninterruptedly by using the other disk". A resyncing drive
-    whose copy of the range is still dirty is skipped the same way, and
-    once a good source has answered the data is written back to it off
-    the measured path (read-repair), clearing the range. *)
+(** Read the range from the drives holding current bytes for it (live,
+    and not still dirty there if resyncing). Each plan — the whole range
+    from one drive, or [count / 2] sectors from one drive and the rest
+    from another — is priced with {!Block_device.access_us} at the
+    heads' current positions, and the strictly cheapest runs; a tie goes
+    to the whole range from the first drive whose copy is current. Its
+    pieces run as single timed accesses at once ({!Amoeba_sim.Clock.parallel}).
+    A piece whose drive raises is read again after that step, from the
+    other current drives in slot order, one access after another — the
+    paper's "if the main disk fails, the file server can proceed
+    uninterruptedly by using the other disk". Once a piece is served,
+    every live drive whose copy of its range is stale gets the bytes
+    written back off the measured path (read-repair, one
+    [resync_fallthroughs] and one [read_repairs] each), clearing the
+    range. Raises {!No_live_drive} if no drive, or no failover target,
+    holds current bytes for a piece. *)
 
 val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
 (** {!read} that lands the first [len] bytes of the [count] sectors in
     [dst] at [dst_off] ({!Block_device.read_into}): the same drain, plan,
-    failover, resync fall-through, charge, stats and [mirror.read] span
-    (with one [disk.read] child per drive access). The bytes land only
+    failover, read-repair, charge, stats and [mirror.read] span (with
+    one [disk.read] child per drive access). The bytes land only
     once every part of the read has succeeded, so on any exception [dst]
     is untouched. Read-repair still writes whole sectors to a stale
     drive, taken from the good drive without a charge. {!read} allocates
@@ -100,10 +108,12 @@ val crash : t -> unit
 val pending_count : t -> int
 
 val recover : t -> unit
-(** Repair every failed drive and copy the first live drive's contents
-    onto it — the paper's whole-disk-copy recovery. Leaves the repaired
-    drives clean. Raises {!No_live_drive} if there is no live drive to
-    copy from. *)
+(** Repair every failed drive and copy onto it the contents of the first
+    live drive that is not resyncing — the paper's whole-disk-copy
+    recovery. Leaves the repaired drives clean. A no-op when every drive
+    is live. Raises {!No_live_drive}, and changes nothing, if a drive is
+    failed and no live drive holds a current copy of the whole disk
+    (every live drive is still resyncing). *)
 
 val rejoin : t -> unit
 (** Bring every failed drive back online {e without} copying anything:
@@ -113,8 +123,9 @@ val rejoin : t -> unit
     drives already online. *)
 
 val resync_step : ?batch:int -> t -> int
-(** Copy at most [batch] (default 256) contiguous dirty sectors from a
-    clean live replica onto the first resyncing drive, charging the read
+(** Copy at most [batch] (default 256) contiguous dirty sectors from the
+    first other drive holding current bytes for them onto the first
+    resyncing drive, charging the read
     and the write to the clock — this is the bounded slice of disk time
     a resync step steals from foreground I/O. Returns the number of
     sectors copied; [0] means there was nothing to do (no drive
@@ -132,12 +143,13 @@ val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
     [mirror.rejoin]/[mirror.read_repair]/[mirror.resync_done] events. *)
 
 val stats : t -> Amoeba_sim.Stats.t
-(** Counters: [read_failovers] (a drive raised mid-read and the next live
-    drive served it), [degraded_reads] (reads issued while at least one
-    drive was offline), [resyncs] (failed drives repaired and re-copied by
-    {!recover}), [rejoins], [resync_steps], [resync_sectors],
-    [resync_fallthroughs] (reads that skipped a still-dirty resyncing
-    drive), [read_repairs], [resyncs_completed]. *)
+(** Counters: [read_failovers] (read accesses whose drive raised; the
+    piece then goes to the next current drive), [degraded_reads] (reads
+    issued while at least one drive was offline), [resyncs] (failed
+    drives repaired and re-copied by {!recover}), [rejoins],
+    [resync_steps], [resync_sectors], [resync_fallthroughs] (per read
+    piece, each live drive whose copy of the range was stale),
+    [read_repairs], [resyncs_completed]. *)
 
 val register_metrics : t -> Amoeba_metrics.Metrics.t -> unit
 (** Register this mirror's live surface: [mirror.sync_state] (0 clean,

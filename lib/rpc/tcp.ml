@@ -1,6 +1,9 @@
 type server = { socket : Unix.file_descr; port : int }
 
-let listen ?(backlog = 16) ~port () =
+(* Pending connections the kernel queues before [accept]. *)
+let backlog = 16
+
+let listen ~port () =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
   Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, port));

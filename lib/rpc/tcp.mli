@@ -13,9 +13,10 @@
 
 type server
 
-val listen : ?backlog:int -> port:int -> unit -> server
-(** Bind and listen on 127.0.0.1:[port]. Raises [Unix.Unix_error] on
-    failure (e.g. port in use). *)
+val listen : port:int -> unit -> server
+(** Bind and listen on 127.0.0.1:[port], with a backlog of 16 pending
+    connections. Raises [Unix.Unix_error] on failure (e.g. port in
+    use). *)
 
 val bound_port : server -> int
 (** The actual port (useful with [~port:0]). *)

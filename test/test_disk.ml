@@ -383,21 +383,31 @@ let test_mirror_resync_converges_bytes () =
   done
 
 let test_mirror_read_repair () =
-  (* Fail the READ PRIMARY: after the rejoin it is first in read order
-     but fully dirty, so a foreground read must skip it, serve the
-     survivor, and write the bytes back. *)
-  let _clock, d1, _, m = make_mirror () in
-  Mirror.write m ~sync:2 ~sector:500 (payload 512);
-  Dev.fail d1;
-  Mirror.write m ~sync:1 ~sector:500 (payload 1024);
-  Mirror.rejoin m;
-  check_bytes "read serves current bytes" (payload 1024) (Mirror.read m ~sector:500 ~count:2);
-  check_int "fall-through counted" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs");
-  check_int "read-repair counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
-  check_bytes "repair landed on the rejoined drive" (payload 1024) (Dev.peek d1 ~sector:500 ~count:2);
-  (* the repaired region is clean now: the same read no longer falls through *)
-  ignore (Mirror.read m ~sector:500 ~count:2);
-  check_int "no second fall-through" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs")
+  (* After the rejoin the failed drive is fully dirty, so a foreground
+     read must serve the survivor and write the bytes back, whether the
+     stale drive comes before the survivor in slot order (drive 1) or
+     after it (drive 2). *)
+  List.iter
+    (fun stale ->
+      let _clock, d1, d2, m = make_mirror () in
+      let stale, survivor = if stale = 1 then (d1, d2) else (d2, d1) in
+      Mirror.write m ~sync:2 ~sector:500 (payload 512);
+      Dev.fail stale;
+      Mirror.write m ~sync:1 ~sector:500 (payload 1024);
+      Mirror.rejoin m;
+      let reads = Stats.count (Dev.stats stale) "reads" in
+      check_bytes "read serves current bytes" (payload 1024) (Mirror.read m ~sector:500 ~count:2);
+      check_int "the stale drive read nothing" reads (Stats.count (Dev.stats stale) "reads");
+      check_int "the survivor served" 1 (Stats.count (Dev.stats survivor) "reads");
+      check_int "fall-through counted" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs");
+      check_int "read-repair counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
+      check_bytes "repair landed on the rejoined drive" (payload 1024)
+        (Dev.peek stale ~sector:500 ~count:2);
+      check_string "backlog shrank" "resyncing:1022" (state_label m);
+      (* the repaired region is clean now: the same read no longer falls through *)
+      ignore (Mirror.read m ~sector:500 ~count:2);
+      check_int "no second fall-through" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs"))
+    [ 1; 2 ]
 
 (* ---- one-copy reads: read_into against read ---- *)
 
@@ -509,39 +519,54 @@ let test_mirror_read_into_repairs_whole_sectors () =
 (* Random reads and writes on a two-drive mirror against two references:
    a one-drive oracle for the bytes, and a mirror built here that reads
    every range whole from drive 0, for the charge. No read may cost more
-   than the reference's, and every read must return the oracle's bytes. *)
-let test_mirror_read_plan_model () =
+   than the reference's, and every read must return the oracle's bytes.
+   With [~faults] the mix also fails either drive, rejoins, runs resync
+   steps and recovers; the charge reference no longer applies, and a
+   read may raise [No_live_drive] (leaving [dst] untouched) but never
+   return stale bytes. *)
+let mirror_model ~faults seed =
   let sector_bytes = geometry.Geometry.sector_bytes in
-  let run seed =
-    let rng = Random.State.make [| seed |] in
-    let _clock, _, _, m = make_mirror () in
-    let _, oracle = make_dev ~id:"oracle" () in
-    let ref_clock = Clock.create () in
-    let r0 = Dev.create ~id:"r0" ~geometry ~clock:ref_clock
-    and r1 = Dev.create ~id:"r1" ~geometry ~clock:ref_clock in
-    (* the reference's write-behind, applied before its next operation *)
-    let pending = ref [] in
-    let ref_drain () =
-      List.iter
-        (fun (d, sector, data) -> Clock.unobserved ref_clock (fun () -> Dev.write d ~sector data))
-        (List.rev !pending);
-      pending := []
+  let rng = Random.State.make [| seed |] in
+  let _clock, _, _, m = make_mirror () in
+  let _, oracle = make_dev ~id:"oracle" () in
+  let ref_clock = Clock.create () in
+  let r0 = Dev.create ~id:"r0" ~geometry ~clock:ref_clock
+  and r1 = Dev.create ~id:"r1" ~geometry ~clock:ref_clock in
+  (* the reference's write-behind, applied before its next operation *)
+  let pending = ref [] in
+  let ref_drain () =
+    List.iter
+      (fun (d, sector, data) -> Clock.unobserved ref_clock (fun () -> Dev.write d ~sector data))
+      (List.rev !pending);
+    pending := []
+  in
+  let served = ref 0 in
+  let last_end = ref 0 in
+  for step = 1 to 300 do
+    let count = 1 + Random.State.int rng 24 in
+    let sector =
+      if Random.State.int rng 3 = 0 && !last_end + count <= 1024 then !last_end
+      else Random.State.int rng (1024 - count + 1)
     in
-    let last_end = ref 0 in
-    for step = 1 to 300 do
-      let count = 1 + Random.State.int rng 24 in
-      let sector =
-        if Random.State.int rng 3 = 0 && !last_end + count <= 1024 then !last_end
-        else Random.State.int rng (1024 - count + 1)
+    last_end := sector + count;
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    let fault = if faults then Random.State.int rng 32 else 32 in
+    (* fail a drive only while both are live, so that the mirror keeps a
+       copy of most ranges and most reads are served *)
+    if fault = 0 && Mirror.live_count m = 2 then
+      Dev.fail (List.nth (Mirror.drives m) (Random.State.int rng 2))
+    else if fault = 1 then Mirror.rejoin m
+    else if fault >= 2 && fault <= 5 then
+      ignore (Mirror.resync_step ~batch:(1 + Random.State.int rng 256) m)
+    else if fault = 6 then (try Mirror.recover m with Mirror.No_live_drive -> ())
+    else if Random.State.int rng 3 = 0 then begin
+      let data =
+        Bytes.init (count * sector_bytes) (fun _ -> Char.chr (Random.State.int rng 256))
       in
-      last_end := sector + count;
-      let what = Printf.sprintf "seed %d step %d" seed step in
-      if Random.State.int rng 3 = 0 then begin
-        let data =
-          Bytes.init (count * sector_bytes) (fun _ -> Char.chr (Random.State.int rng 256))
-        in
-        let sync = Random.State.int rng 3 in
-        Mirror.write m ~sync ~sector data;
+      let sync = Random.State.int rng 3 in
+      match Mirror.write m ~sync ~sector data with
+      | exception Mirror.No_live_drive -> check_bool (what ^ ": faults only") true faults
+      | () ->
         Dev.poke oracle ~sector data;
         ref_drain ();
         let writes = [ (r0, sector, data); (r1, sector, data) ] in
@@ -550,19 +575,21 @@ let test_mirror_read_plan_model () =
           (Clock.parallel ref_clock
              (List.map (fun (d, sector, data) () -> Dev.write d ~sector data) foreground));
         pending := List.rev (List.filteri (fun i _ -> i >= sync) writes)
-      end
-      else begin
-        let len = 1 + Random.State.int rng (count * sector_bytes) in
-        let dst_off = Random.State.int rng 8 in
-        let dst = Bytes.make (dst_off + len + 8) '?' in
-        let (), charged =
-          Clock.elapsed (Mirror.clock m) (fun () ->
-              Mirror.read_into m ~sector ~count ~dst ~dst_off ~len)
-        in
-        ref_drain ();
-        let (_ : bytes), reference =
-          Clock.elapsed ref_clock (fun () -> Dev.read r0 ~sector ~count)
-        in
+    end
+    else begin
+      let len = 1 + Random.State.int rng (count * sector_bytes) in
+      let dst_off = Random.State.int rng 8 in
+      let dst = Bytes.make (dst_off + len + 8) '?' in
+      match
+        Clock.elapsed (Mirror.clock m) (fun () ->
+            Mirror.read_into m ~sector ~count ~dst ~dst_off ~len)
+      with
+      | exception Mirror.No_live_drive ->
+        check_bool (what ^ ": faults only") true faults;
+        check_string (what ^ ": failed read leaves dst") (String.make (Bytes.length dst) '?')
+          (Bytes.to_string dst)
+      | (), charged ->
+        incr served;
         check_bytes (what ^ ": oracle bytes")
           (Bytes.sub (Dev.peek oracle ~sector ~count) 0 len)
           (Bytes.sub dst dst_off len);
@@ -570,15 +597,26 @@ let test_mirror_read_plan_model () =
           (Bytes.sub_string dst 0 dst_off);
         check_string (what ^ ": nothing past len") "????????"
           (Bytes.sub_string dst (dst_off + len) 8);
-        if charged > reference then
-          Alcotest.failf "%s: read [%d, +%d) charged %d us, drive 0 alone %d us" what sector count
-            charged reference
-      end
-    done;
+        if not faults then begin
+          ref_drain ();
+          let (_ : bytes), reference =
+            Clock.elapsed ref_clock (fun () -> Dev.read r0 ~sector ~count)
+          in
+          if charged > reference then
+            Alcotest.failf "%s: read [%d, +%d) charged %d us, drive 0 alone %d us" what sector
+              count charged reference
+        end
+    end
+  done;
+  check_bool (Printf.sprintf "seed %d: reads were served" seed) true (!served > 0);
+  if not faults then
     check_bool (Printf.sprintf "seed %d: drive 2 served reads" seed) true
       (Stats.count (Dev.stats (List.nth (Mirror.drives m) 1)) "reads" > 0)
-  in
-  List.iter run [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+let test_mirror_read_plan_model () = List.iter (mirror_model ~faults:false) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+let test_mirror_fault_model () =
+  List.iter (mirror_model ~faults:true) [ 11; 12; 13; 14; 15; 16; 17; 18; 19; 20; 21; 22 ]
 
 (* Heads together at sector 48 after a mirrored write: a read elsewhere
    splits, drive 1 reading the first half and drive 2 the second. *)
@@ -631,15 +669,47 @@ let test_mirror_split_half_fails_over () =
   check_int "drive 1 served both halves" 8 (Stats.count (Dev.stats d1) "sectors_read")
 
 let test_mirror_split_bad_sector_one_drive () =
-  let _clock, d1, d2, m = split_rig () in
+  let clock, d1, d2, m = split_rig () in
   (* in the second half, on the drive that reads the second half *)
   Dev.set_bad_sector d2 205;
   let dst = Bytes.make (8 * 512) 'x' in
-  Mirror.read_into m ~sector:200 ~count:8 ~dst ~dst_off:0 ~len:(8 * 512);
+  let (), charged =
+    Clock.elapsed clock (fun () ->
+        Mirror.read_into m ~sector:200 ~count:8 ~dst ~dst_off:0 ~len:(8 * 512))
+  in
   check_bytes "served around the bad sector" (payload (8 * 512)) dst;
   check_int "one failover" 1 (Stats.count (Mirror.stats m) "read_failovers");
   check_int "drive 1 read everything" 8 (Stats.count (Dev.stats d1) "sectors_read");
-  check_int "drive 2 read nothing" 0 (Stats.count (Dev.stats d2) "sectors_read")
+  check_int "drive 2 read nothing" 0 (Stats.count (Dev.stats d2) "sectors_read");
+  (* drive 1 reads the second half after its own, so the read costs the
+     two accesses back to back *)
+  check_int "two accesses in sequence"
+    (Geometry.access_us geometry ~sequential:false ~write:false (4 * 512)
+    + Geometry.access_us geometry ~sequential:true ~write:false (4 * 512))
+    charged;
+  check_int "on the split rig" 30_745 charged
+
+let test_mirror_recover_skips_resyncing () =
+  (* d1 rejoins and is still resyncing when d2, the only current copy,
+     fails: recover has no current source and must change nothing *)
+  let _clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:100 (Bytes.make 512 'A');
+  Dev.fail d1;
+  Mirror.write m ~sync:2 ~sector:100 (Bytes.make 512 'B');
+  Mirror.rejoin m;
+  Dev.fail d2;
+  (try
+     Mirror.recover m;
+     Alcotest.fail "expected No_live_drive"
+   with Mirror.No_live_drive -> ());
+  check_bool "d2 still failed" true (Dev.is_failed d2);
+  check_bytes "d2 keeps the current copy" (Bytes.make 512 'B') (Dev.peek d2 ~sector:100 ~count:1);
+  check_bytes "d1 untouched" (Bytes.make 512 'A') (Dev.peek d1 ~sector:100 ~count:1);
+  check_int "no resync counted" 0 (Stats.count (Mirror.stats m) "resyncs");
+  (try
+     ignore (Mirror.read m ~sector:100 ~count:1);
+     Alcotest.fail "stale bytes served"
+   with Mirror.No_live_drive -> ())
 
 let test_mirror_resync_read_stays_whole () =
   let clock, d1, d2, m = split_rig () in
@@ -790,6 +860,10 @@ let suite =
       Alcotest.test_case "mirror split half fails over" `Quick test_mirror_split_half_fails_over;
       Alcotest.test_case "mirror split around a bad sector on one drive" `Quick
         test_mirror_split_bad_sector_one_drive;
+      Alcotest.test_case "mirror recover never copies from a resyncing drive" `Quick
+        test_mirror_recover_skips_resyncing;
+      Alcotest.test_case "mirror reads under fail/rejoin/resync/recover match the oracle" `Quick
+        test_mirror_fault_model;
       Alcotest.test_case "mirror read during resync stays whole" `Quick
         test_mirror_resync_read_stays_whole;
       Alcotest.test_case "mirror degraded read charges one drive" `Quick
