@@ -50,9 +50,6 @@ val lint_source : path:string -> string -> diagnostic list
     [parse-error] diagnostic. Filesystem-level rules ([mli-coverage])
     are not checked here. *)
 
-val lint_file : string -> diagnostic list
-(** Lint one [.ml] file from disk, including the [mli-coverage] check. *)
-
 val lint_paths : string list -> diagnostic list
 (** Lint every [.ml] file under the given files/directories
     (recursively, skipping [_build] and dot-directories), sorted by

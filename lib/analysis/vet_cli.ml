@@ -1,10 +1,13 @@
 (* Command-line driver behind bin/amoeba_vet. Composes the Parsetree
    lint (pass "lint") with the typedtree passes ("proto", "clock",
-   "taint") from Vet, over lib/ and bin/ paths. *)
+   "taint", "exports") from Vet, over lib/ and bin/ paths. The exports
+   pass counts every compiled unit of the repository as a user
+   ([user_dirs]), whatever paths are analysed. *)
 
 let usage prog =
   Printf.eprintf
-    "usage: %s [--list-rules] [--passes lint,proto,clock,taint] [--json] [--out FILE] [path ...]\n\
+    "usage: %s [--list-rules] [--passes lint,proto,clock,taint,exports] [--json] [--out FILE] \
+     [path ...]\n\
     \       (default paths: lib bin; default passes: all)\n"
     prog;
   2
@@ -14,6 +17,8 @@ let list_rules () =
     (fun (id, description) -> Printf.printf "%-24s %s\n" id description)
     (Lint.rules @ Vet.rules);
   0
+
+let user_dirs = [ "lib"; "bin"; "test"; "bench"; "examples" ]
 
 (* ---- cmt discovery ----
 
@@ -27,7 +32,7 @@ let rec cmts_under path =
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.filter (fun name -> name <> "" && name <> "_build")
     |> List.concat_map (fun name -> cmts_under (Filename.concat path name))
-  else if Filename.check_suffix path ".cmt" then [ path ]
+  else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti" then [ path ]
   else []
 
 let discover_cmts paths =
@@ -62,7 +67,7 @@ type options = {
   mutable bad : string option;
 }
 
-let all_passes = [ "lint"; "proto"; "clock"; "taint" ]
+let all_passes = [ "lint"; "proto"; "clock"; "taint"; "exports" ]
 
 let parse_args argv =
   let o = { list_rules = false; passes = all_passes; json = false; out = None; paths = []; bad = None } in
@@ -135,7 +140,8 @@ let main ~prog argv =
                    "no .cmt files found under %s; run `dune build @check` first (or select \
                     --passes lint)"
                    (String.concat " " paths))
-            | cmts -> Vet.analyze ~read_source ~passes:typed_passes cmts
+            | cmts ->
+              Vet.analyze ~read_source ~passes:typed_passes ~users:(discover_cmts user_dirs) cmts
         in
         match typed_result with
         | Error e ->

@@ -122,22 +122,22 @@ let read_range t cap ~pos ~len =
   in
   reply.Message.body
 
-let modify t ?(p_factor = 2) cap ~pos data =
+let modify t cap ~pos data =
   cap_of
     (checked t
-       (Message.request ~port:t.service ~command:Proto.cmd_modify ~cap ~arg0:p_factor ~arg1:pos
+       (Message.request ~port:t.service ~command:Proto.cmd_modify ~cap ~arg0:2 ~arg1:pos
           ~xid:(fresh_xid ()) ~body:data ()))
 
-let append t ?(p_factor = 2) cap data =
+let append t cap data =
   cap_of
     (checked t
-       (Message.request ~port:t.service ~command:Proto.cmd_append ~cap ~arg0:p_factor
+       (Message.request ~port:t.service ~command:Proto.cmd_append ~cap ~arg0:2
           ~xid:(fresh_xid ()) ~body:data ()))
 
-let truncate t ?(p_factor = 2) cap n =
+let truncate t cap n =
   cap_of
     (checked t
-       (Message.request ~port:t.service ~command:Proto.cmd_truncate ~cap ~arg0:p_factor ~arg1:n
+       (Message.request ~port:t.service ~command:Proto.cmd_truncate ~cap ~arg0:2 ~arg1:n
           ~xid:(fresh_xid ()) ()))
 
 let restrict t cap rights =

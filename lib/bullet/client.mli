@@ -63,12 +63,13 @@ val delete : t -> Amoeba_cap.Capability.t -> unit
 
 val read_range : t -> Amoeba_cap.Capability.t -> pos:int -> len:int -> bytes
 
-val modify :
-  t -> ?p_factor:int -> Amoeba_cap.Capability.t -> pos:int -> bytes -> Amoeba_cap.Capability.t
+val modify : t -> Amoeba_cap.Capability.t -> pos:int -> bytes -> Amoeba_cap.Capability.t
+(** [modify], [append] and [truncate] derive the new version at
+    P-FACTOR 2. *)
 
-val append : t -> ?p_factor:int -> Amoeba_cap.Capability.t -> bytes -> Amoeba_cap.Capability.t
+val append : t -> Amoeba_cap.Capability.t -> bytes -> Amoeba_cap.Capability.t
 
-val truncate : t -> ?p_factor:int -> Amoeba_cap.Capability.t -> int -> Amoeba_cap.Capability.t
+val truncate : t -> Amoeba_cap.Capability.t -> int -> Amoeba_cap.Capability.t
 
 val restrict : t -> Amoeba_cap.Capability.t -> Amoeba_cap.Rights.t -> Amoeba_cap.Capability.t
 

@@ -20,8 +20,6 @@ let create ?(policy = First_fit) ~start ~length () =
     tracer = None;
   }
 
-let policy t = t.pol
-
 let set_tracer t tracer = t.tracer <- tracer
 
 let take_from t chosen n =

@@ -17,8 +17,6 @@ val create : ?policy:policy -> start:int -> length:int -> unit -> t
 (** An allocator over the half-open range [\[start, start+length)], all
     free. Units are whatever the caller means (sectors, bytes). *)
 
-val policy : t -> policy
-
 val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
 (** Install (or with [None] remove) the tracer; traced allocators emit
     zero-length [alloc.take]/[alloc.free] events (extent bookkeeping

@@ -30,6 +30,4 @@ let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.length then invalid_arg "Mapped.sub: out of bounds";
   Bytes.sub (fault_in t) pos len
 
-let contents t = fault_in t
-
 let unmap t = t.resident <- None

@@ -29,10 +29,5 @@ val get : t -> int -> char
 val sub : t -> pos:int -> len:int -> bytes
 (** Read a range (faults in on first touch). *)
 
-val contents : t -> bytes
-(** The whole file (faults in on first touch); the returned buffer is
-    the mapping itself — treat it as read-only, like a [PROT_READ]
-    page. *)
-
 val unmap : t -> unit
 (** Drop the contents; a later access faults them in again. *)

@@ -49,13 +49,7 @@ val cmd_txn_abort : int
     kind). Without: presumed abort of every prepared action of [arg0]'s
     transaction ({!Server.txn_abort_all}). *)
 
-val command_name : int -> string
-(** Human-readable name of a command number ("create", "read", ...);
-    unknown numbers render as ["cmdN"].  Used to label trace spans. *)
-
 val encode_txn_kind : Server.txn_kind -> int
-
-val decode_txn_kind : int -> Server.txn_kind option
 
 type stat = {
   live_files : int;
@@ -71,12 +65,9 @@ val decode_stat : bytes -> stat
 (** Decode a STAT reply body (the inverse of the dispatcher's encoder).
     Raises {!Amoeba_sim.Codec.Truncated} on a short body. *)
 
-val status_snapshot : Server.t -> Amoeba_metrics.Metrics.snapshot
-(** Scrape the server's registry now (virtual time). *)
-
 val encode_status : Server.t -> bytes
-(** The STD_STATUS binary reply body: {!status_snapshot} through
-    {!Amoeba_metrics.Metrics.encode_snapshot}. *)
+(** The STD_STATUS binary reply body: the server's registry scraped now
+    (virtual time), through {!Amoeba_metrics.Metrics.encode_snapshot}. *)
 
 val decode_status : bytes -> (Amoeba_metrics.Metrics.snapshot, string) result
 (** Decode a STD_STATUS binary reply body (client side). *)

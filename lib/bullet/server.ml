@@ -132,8 +132,6 @@ let set_tracer t tracer =
   Extent_alloc.set_tracer t.disk_alloc tracer;
   Amoeba_disk.Mirror.set_tracer t.mirror tracer
 
-let tracer t = t.tracer
-
 let crash t =
   t.dead <- true;
   (* volatile 2PC bookkeeping dies with the RAM; the prepared objects

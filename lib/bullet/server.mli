@@ -73,8 +73,6 @@ val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
     charges become [cpu.request] spans.  With [None] every hot path is
     the exact untraced code. *)
 
-val tracer : t -> Amoeba_trace.Trace.ctx option
-
 (** {1 The Bullet interface} *)
 
 val create : t -> ?p_factor:int -> bytes -> (Amoeba_cap.Capability.t, Amoeba_rpc.Status.t) result

@@ -9,19 +9,6 @@ let equal a b =
   && Rights.equal a.rights b.rights
   && Int64.equal a.check b.check
 
-let compare a b =
-  let c = Port.compare a.port b.port in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.obj b.obj in
-    if c <> 0 then c
-    else
-      let c = Int.compare (Rights.to_int a.rights) (Rights.to_int b.rights) in
-      if c <> 0 then c else Int64.compare a.check b.check
-
-let pp ppf t =
-  Format.fprintf ppf "cap(%a obj=%d %a check=%Lx)" Port.pp t.port t.obj Rights.pp t.rights t.check
-
 let wire_size = Port.wire_size + 4 + 2 + 8
 
 let write t buf off =

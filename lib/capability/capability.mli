@@ -17,10 +17,6 @@ val v : port:Port.t -> obj:int -> rights:Rights.t -> check:int64 -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-
 val wire_size : int
 (** Bytes of the wire encoding: 6 (port) + 4 (object) + 2 (rights) +
     8 (check) = 20. *)

@@ -19,10 +19,6 @@ let key_of_string s =
   in
   { k0 = fnv 0; k1 = fnv 1; k2 = fnv 2; k3 = fnv 3 }
 
-let key_random prng =
-  let word () = Int64.to_int (Amoeba_sim.Prng.next_int64 prng) land mask32 in
-  { k0 = word (); k1 = word (); k2 = word (); k3 = word () }
-
 let key_word key = function
   | 0 -> key.k0
   | 1 -> key.k1

@@ -12,8 +12,6 @@ type key
 val key_of_string : string -> key
 (** Derive a key from arbitrary bytes (hashed and folded to 128 bits). *)
 
-val key_random : Amoeba_sim.Prng.t -> key
-
 val encrypt : key -> int64 -> int64
 (** Encrypt one 64-bit block. *)
 

@@ -4,13 +4,9 @@ let mask48 = 0xFFFF_FFFF_FFFFL
 
 let of_int64 v = Int64.logand v mask48
 
-let to_int64 t = t
-
 let random prng = of_int64 (Amoeba_sim.Prng.next_int64 prng)
 
 let equal = Int64.equal
-
-let compare = Int64.compare
 
 let hash t = Int64.to_int t land max_int
 

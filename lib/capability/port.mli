@@ -10,14 +10,10 @@ type t
 val of_int64 : int64 -> t
 (** Truncates to 48 bits. *)
 
-val to_int64 : t -> int64
-
 val random : Amoeba_sim.Prng.t -> t
 (** A fresh random port, as a server chooses at startup. *)
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val hash : t -> int
 

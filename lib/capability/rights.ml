@@ -10,8 +10,6 @@ let delete = 0x02
 
 let modify = 0x04
 
-let admin = 0x80
-
 let union = ( lor )
 
 let inter = ( land )
@@ -25,13 +23,3 @@ let equal = Int.equal
 let to_int t = t
 
 let of_int v = v land 0xFF
-
-let pp ppf t =
-  let names =
-    List.filter_map
-      (fun (bit, name) -> if subset bit t then Some name else None)
-      [ (read, "read"); (delete, "delete"); (modify, "modify"); (admin, "admin") ]
-  in
-  match names with
-  | [] -> Format.fprintf ppf "none(%02x)" t
-  | _ -> Format.fprintf ppf "%s(%02x)" (String.concat "+" names) t

@@ -21,9 +21,6 @@ val delete : t
 val modify : t
 (** Right to derive a new version ([BULLET.MODIFY], directory updates). *)
 
-val admin : t
-(** Server administration (compaction, statistics). *)
-
 val union : t -> t -> t
 
 val inter : t -> t -> t
@@ -41,5 +38,3 @@ val to_int : t -> int
 
 val of_int : int -> t
 (** Truncates to 8 bits. *)
-
-val pp : Format.formatter -> t -> unit

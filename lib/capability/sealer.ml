@@ -1,7 +1,5 @@
 type t = { key : Crypto.key }
 
-let create ~key = { key }
-
 let of_passphrase phrase = { key = Crypto.key_of_string phrase }
 
 let mask48 = 0xFFFF_FFFF_FFFFL

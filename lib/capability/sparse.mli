@@ -27,9 +27,6 @@ val owner_rights : Rights.t
 val owner_check : random:int64 -> int64
 (** Check field of the owner capability: the random itself. *)
 
-val restricted_check : t -> random:int64 -> rights:Rights.t -> int64
-(** Server-side: the check field for a restricted capability. *)
-
 val restrict_offline : t -> owner:Capability.t -> rights:Rights.t -> Capability.t
 (** Client-side: derive a weaker capability from the {e owner}
     capability without any RPC. Raises [Invalid_argument] if [owner]

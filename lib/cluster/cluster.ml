@@ -8,8 +8,6 @@ module Client = Bullet_core.Client
 module Link = Amoeba_rpc.Link
 module Federation = Amoeba_wan.Federation
 module Metrics = Amoeba_metrics.Metrics
-module Trace = Amoeba_trace.Trace
-module Sink = Amoeba_trace.Sink
 module Dirty = Amoeba_disk.Dirty
 
 let shards = 64
@@ -29,7 +27,7 @@ let route_refresh_us = 50_000
 (* runaway guard on a full rebalance *)
 let max_steps = 10_000
 
-type node_status = Alive | Retired | Dead
+type node_status = Alive | Dead
 
 type node = {
   name : string;
@@ -52,7 +50,6 @@ type t = {
   directory : (string, entry) Hashtbl.t;
   clients : (string, Client.t) Hashtbl.t; (* keyed "<from>->'<server>" *)
   stats : Stats.t;
-  mutable tracer : Trace.ctx option;
   mutable last_hint_us : int;
   mutable hinted_once : bool;
 }
@@ -71,7 +68,6 @@ let create () =
     directory = Hashtbl.create 64;
     clients = Hashtbl.create 16;
     stats = Stats.create "cluster";
-    tracer = None;
     last_hint_us = 0;
     hinted_once = false;
   }
@@ -85,7 +81,7 @@ let node t name =
   | Some n -> n
   | None -> raise (Unknown_server name)
 
-let status_label = function Alive -> "alive" | Retired -> "retired" | Dead -> "dead"
+let status_label = function Alive -> "alive" | Dead -> "dead"
 
 let servers t =
   List.map
@@ -114,10 +110,6 @@ let entry t key =
   match Hashtbl.find_opt t.directory key with Some e -> e | None -> raise Not_found
 
 let holders t key = List.map fst (entry t key).holds
-
-let mem t key = Hashtbl.mem t.directory key
-
-let keys t = Tbl.sorted_keys String.compare t.directory
 
 let objects_total t = Hashtbl.length t.directory
 
@@ -196,16 +188,6 @@ let kill_server t name =
   end;
   Stats.incr t.stats "server_kills"
 
-let remove_server t name =
-  let n = node t name in
-  if n.status <> Alive then raise (Unknown_server name);
-  if not (Ring.mem t.ring name) then raise (Unknown_server name);
-  n.status <- Retired;
-  let before = t.ring in
-  t.ring <- Ring.remove t.ring name;
-  mark_delta t ~before ~after:t.ring;
-  Stats.incr t.stats "server_leaves"
-
 (* ---- load hints ---- *)
 
 let node_reads n =
@@ -270,46 +252,26 @@ let rank t ~from candidates =
    target that dies aborts the copy (the kill re-marked every shard
    whose group it changed, so the drain revisits this object with fresh
    membership). Returns whether the copy landed. *)
-let copy_to t ~key ~e ~target =
+let copy_to t ~e ~target =
   let tn = node t target in
   let rec read_from = function
     | [] -> None
     | (src, src_cap) :: rest -> (
       match Client.read (client_for t ~from:tn.region src) src_cap with
-      | data -> Some (src, data)
+      | data -> Some data
       | exception Amoeba_rpc.Status.Error _ when not (alive t src) -> read_from rest)
   in
-  let do_copy () =
-    if not (alive t target) then None
-    else
-      match read_from (rank t ~from:tn.region (List.filter (fun (srv, _) -> alive t srv) e.holds)) with
-      | None -> None
-      | Some (src, data) -> (
-        match Client.create (client_for t ~from:tn.region target) data with
-        | cap ->
-          e.holds <-
-            List.sort (fun (a, _) (b, _) -> String.compare a b) ((target, cap) :: e.holds);
-          Some src
-        | exception Amoeba_rpc.Status.Error _ when not (alive t target) -> None)
-  in
-  let outcome =
-    match t.tracer with
-    | None -> do_copy ()
-    | Some tr ->
-      Trace.in_span tr ~layer:Sink.Server ~name:"cluster.migrate" (fun () ->
-          match do_copy () with
-          | None -> None
-          | Some src ->
-            Trace.event tr ~layer:Sink.Server ~name:"cluster.migrate.copied"
-              [ ("key", Sink.S key); ("from", Sink.S src); ("to", Sink.S target);
-                ("shard", Sink.I (shard_of key)) ];
-            Some src)
-  in
-  match outcome with
+  alive t target
+  &&
+  match read_from (rank t ~from:tn.region (List.filter (fun (srv, _) -> alive t srv) e.holds)) with
   | None -> false
-  | Some _ ->
-    Stats.incr t.stats "migrated_objects";
-    true
+  | Some data -> (
+    match Client.create (client_for t ~from:tn.region target) data with
+    | cap ->
+      e.holds <- List.sort (fun (a, _) (b, _) -> String.compare a b) ((target, cap) :: e.holds);
+      Stats.incr t.stats "migrated_objects";
+      true
+    | exception Amoeba_rpc.Status.Error _ when not (alive t target) -> false)
 
 let get t ?(from = "client") key =
   let e = entry t key in
@@ -337,13 +299,6 @@ let get t ?(from = "client") key =
   let n = node t srv in
   n.routed_since <- n.routed_since + 1;
   Stats.incr t.stats "routed_reads";
-  (match t.tracer with
-  | None -> ()
-  | Some tr ->
-    Trace.event tr ~layer:Sink.Client ~name:"cluster.route"
-      [ ("key", Sink.S key); ("server", Sink.S srv);
-        ("link", Sink.S (Link.to_string (link_to t ~from srv)));
-        ("fallthrough", Sink.I (if fallthrough then 1 else 0)) ]);
   if fallthrough then begin
     Stats.incr t.stats "fallthroughs";
     (* read-repair one missing desired copy off the measured path, the
@@ -356,19 +311,10 @@ let get t ?(from = "client") key =
     with
     | [] -> ()
     | target :: _ ->
-      if Clock.unobserved t.clock (fun () -> copy_to t ~key ~e ~target) then
+      if Clock.unobserved t.clock (fun () -> copy_to t ~e ~target) then
         Stats.incr t.stats "read_repairs"
   end;
   data
-
-let delete t ?(from = "client") key =
-  let e = entry t key in
-  List.iter
-    (fun (srv, cap) ->
-      if alive t srv then
-        try Client.delete (client_for t ~from srv) cap with Amoeba_rpc.Status.Error _ -> ())
-    e.holds;
-  Hashtbl.remove t.directory key
 
 (* ---- rebalancing ---- *)
 
@@ -397,13 +343,13 @@ let rebalance_step t =
     let complete = ref true in
     let entries = shard_entries t s in
     List.iter
-      (fun (key, e) ->
+      (fun (_, e) ->
         if !complete then
           List.iter
             (fun target ->
               if not (List.mem_assoc target e.holds) then
                 if !copied >= migrate_batch then complete := false
-                else if copy_to t ~key ~e ~target then incr copied
+                else if copy_to t ~e ~target then incr copied
                 else complete := false)
             group)
       entries;
@@ -412,8 +358,8 @@ let rebalance_step t =
        drain it against fresh membership next step *)
     if !complete && desired_of_shard t s = group then begin
       (* the shard is wherever the ring wants it: drop surplus copies on
-         servers no longer in its group (retired members drain to empty,
-         join deltas release the superseded replica) *)
+         servers no longer in its group (join deltas release the
+         superseded replica) *)
       List.iter
         (fun (_key, e) ->
           let surplus = List.filter (fun (srv, _) -> not (List.mem srv group)) e.holds in
@@ -515,7 +461,7 @@ let parse_checkpoint text =
         | Some n when n > 0 -> next { info with ck_replicas = n }
         | _ -> err lineno (Printf.sprintf "bad replica count %S" n))
       | [ "server"; name; region; status ] ->
-        if List.mem status [ "alive"; "retired"; "dead" ] then
+        if List.mem status [ "alive"; "dead" ] then
           next { info with ck_servers = info.ck_servers @ [ (name, region, status) ] }
         else err lineno (Printf.sprintf "bad server status %S" status)
       | "object" :: key :: hs ->
@@ -537,5 +483,3 @@ let register_metrics t reg =
   Metrics.gauge reg "cluster.shards_remaining" (fun () -> shards_remaining t);
   Metrics.gauge reg "cluster.servers_live" (fun () -> List.length (live_servers t));
   Metrics.stats_source reg ~prefix:"cluster" t.stats
-
-let set_tracer t tr = t.tracer <- tr

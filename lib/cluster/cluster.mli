@@ -65,17 +65,11 @@ val kill_server : t -> string -> unit
     rebalancer to re-replicate on the survivors. Raises
     {!Unknown_server}. *)
 
-val remove_server : t -> string -> unit
-(** Graceful leave: the member leaves the ring (so no new placement
-    targets it) but keeps serving reads while the rebalancer drains its
-    shards; once drained it holds nothing. Raises {!Unknown_server}. *)
-
 exception Unknown_server of string
 
 val servers : t -> (string * string * string) list
 (** Every server ever added, sorted by name: [(name, region, status)]
-    with status ["alive"], ["retired"] (left the ring, still serving)
-    or ["dead"]. *)
+    with status ["alive"] or ["dead"]. *)
 
 val live_servers : t -> string list
 (** Ring members, sorted. *)
@@ -108,15 +102,6 @@ val get : t -> ?from:string -> string -> bytes
     unknown key and [Failure] when no live replica remains (data
     loss — the fault experiments assert this never happens while any
     member of each group survives). *)
-
-val delete : t -> ?from:string -> string -> unit
-(** Delete every live replica and drop the directory entry. Raises
-    [Not_found]. *)
-
-val mem : t -> string -> bool
-
-val keys : t -> string list
-(** Sorted. *)
 
 val objects_total : t -> int
 
@@ -181,7 +166,7 @@ val parse_checkpoint : string -> (checkpoint_info, string) result
     [bullet_ctl cluster] load. *)
 
 val stats : t -> Amoeba_sim.Stats.t
-(** Counters: [server_joins], [server_kills], [server_leaves],
+(** Counters: [server_joins], [server_kills],
     [routed_reads], [fallthroughs], [read_repairs], [migrated_objects],
     [shards_migrated], [surplus_deleted], [hint_refreshes]. *)
 
@@ -192,9 +177,3 @@ val register_metrics : t -> Amoeba_metrics.Metrics.t -> unit
     every {!stats} counter under the [cluster.] prefix. The
     [cluster.shards_remaining] gauge is what drives the [rebalancing]
     health state. *)
-
-val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
-(** Install the tracer: routed reads emit [cluster.route] events (key,
-    server, link, fallthrough flag) and each migrated object copy runs
-    in a [cluster.migrate] span (key, source, target, shard). [None]
-    restores the exact untraced paths. *)

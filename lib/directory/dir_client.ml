@@ -82,12 +82,6 @@ let list t dir =
   let reply = checked t (Message.request ~port:t.service ~command:Dir_proto.cmd_list ~cap:dir ()) in
   Dir_proto.decode_listing reply.Message.body
 
-let delete_dir t dir =
-  let (_ : Message.t) =
-    checked t (Message.request ~port:t.service ~command:Dir_proto.cmd_delete_dir ~cap:dir ())
-  in
-  ()
-
 let versions t dir name =
   let reply =
     checked t
@@ -95,15 +89,6 @@ let versions t dir name =
          ~body:(body_name name) ())
   in
   Dir_proto.decode_caps reply.Message.body
-
-let restrict t dir rights =
-  cap_of
-    (checked t
-       (Message.request ~port:t.service ~command:Dir_proto.cmd_restrict ~cap:dir
-          ~arg0:(Amoeba_cap.Rights.to_int rights) ()))
-
-let checkpoint t =
-  cap_of (checked t (Message.request ~port:t.service ~command:Dir_proto.cmd_checkpoint ()))
 
 (* ---- two-phase commit legs ----
 

@@ -40,13 +40,7 @@ val remove_name : t -> Amoeba_cap.Capability.t -> string -> unit
 
 val list : t -> Amoeba_cap.Capability.t -> (string * Amoeba_cap.Capability.t) list
 
-val delete_dir : t -> Amoeba_cap.Capability.t -> unit
-
 val versions : t -> Amoeba_cap.Capability.t -> string -> Amoeba_cap.Capability.t list
-
-val restrict : t -> Amoeba_cap.Capability.t -> Amoeba_cap.Rights.t -> Amoeba_cap.Capability.t
-
-val checkpoint : t -> Amoeba_cap.Capability.t
 
 (** {1 Two-phase commit legs}
 

@@ -41,11 +41,6 @@ val heal_primary : t -> unit
 (** Bring the primary back and replay the backup's state onto it (via a
     checkpoint through the primary's store), then resume duplexing. *)
 
-val dispatch : t -> Amoeba_rpc.Message.t -> Amoeba_rpc.Message.t
-(** The replicated service: mutations are applied to every live replica,
-    reads to the first live one. Replies come from the serving replica
-    (identical on both, by construction). *)
-
 val serve : t -> Amoeba_rpc.Transport.t -> unit
 (** Register the pair's dispatcher on its port, wrapped in a
     {!Amoeba_rpc.Transport.dedup} reply cache of 1024 entries keyed by

@@ -20,8 +20,6 @@ val cmd_delete_dir : int
 
 val cmd_versions : int
 
-val cmd_restrict : int
-
 val cmd_checkpoint : int
 
 val cmd_get_root : int
@@ -59,14 +57,10 @@ val encode_txn_intent : Dir_server.intent_op -> string -> bytes
 (** Body layout of txn prepare/commit requests: a one-byte op tag, the
     target capability for enter/replace, then the name. *)
 
-val decode_txn_intent : bytes -> (Dir_server.intent_op * string) option
-
 val encode_listing : (string * Amoeba_cap.Capability.t) list -> bytes
 
 val decode_listing : bytes -> (string * Amoeba_cap.Capability.t) list
 (** Raises {!Amoeba_sim.Codec.Truncated} on a short body. *)
-
-val encode_caps : Amoeba_cap.Capability.t list -> bytes
 
 val decode_caps : bytes -> Amoeba_cap.Capability.t list
 

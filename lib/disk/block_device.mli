@@ -23,8 +23,6 @@ val geometry : t -> Geometry.t
 val clock : t -> Amoeba_sim.Clock.t
 (** The simulation clock this drive charges time to. *)
 
-val capacity_bytes : t -> int
-
 val read : t -> sector:int -> count:int -> bytes
 (** [read t ~sector ~count] returns [count] sectors starting at [sector],
     charging access time. Raises {!Failure} if the drive is failed or the

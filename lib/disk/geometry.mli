@@ -17,11 +17,6 @@ type t = {
   controller_us : int;  (** fixed per-request controller overhead *)
 }
 
-val v1989_800mb : t
-(** The paper's drive: one of the two 800 MB drives on the Bullet server,
-    modelled on late-80s SCSI disks (512 B sectors, 18 ms average seek,
-    3600 RPM, 1.2 MB/s media rate). *)
-
 val small : sectors:int -> t
 (** A drive with [sectors] sectors and the 1989 timing parameters; used to
     keep unit-test images small. *)

@@ -41,7 +41,8 @@ let allocation_ablation ?(churn_ops = 1_500) () =
 
 type append_report = { appends : int; log_server_us : int; modify_us : int; naive_us : int }
 
-let append_ablation ?(appends = 50) ?(record_bytes = 120) ?(base_bytes = 65_536) () =
+let append_ablation ?(appends = 50) () =
+  let record_bytes = 120 and base_bytes = 65_536 in
   let record = Bytes.make record_bytes 'l' in
   (* via the log server *)
   let log_server_us =

@@ -18,7 +18,7 @@ type append_report = {
   naive_us : int;  (** read + whole-file re-create from the client *)
 }
 
-val append_ablation : ?appends:int -> ?record_bytes:int -> ?base_bytes:int -> unit -> append_report
+val append_ablation : ?appends:int -> unit -> append_report
 (** The log-file problem of §2: three ways to append under the immutable
     model. *)
 

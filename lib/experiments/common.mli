@@ -100,11 +100,6 @@ type lease_rig = {
 val lease_dir_config : Dir_server.config
 (** 200 ms leases. *)
 
-val make_lease_rig : unit -> lease_rig
-
-val trusted_station : lease_rig -> Station.t
-(** A station holding the file server's sealer out of band. *)
-
 val station_with_file : ?traced:bool -> string -> Bytes.t -> lease_rig * Station.t * Cap.t
 (** [station_with_file name data]: a rig, a trusted station, and [data]
     entered in the root as [name]. [traced] attaches one tracer to the

@@ -10,7 +10,8 @@ type frag_report = {
   fragmentation_after : float;
 }
 
-let fragmentation_experiment ?(churn_ops = 1_500) ?(seed = 0xF4A6L) () =
+let fragmentation_experiment ?(churn_ops = 1_500) () =
+  let seed = 0xF4A6L in
   (* A deliberately small disk (8 MB) so the fill phases reach real
      allocation pressure — the paper's trade-off in miniature: "buying,
      say, an 800 MB disk to store 500 MB worth of files". *)

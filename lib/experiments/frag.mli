@@ -10,7 +10,7 @@ type frag_report = {
   fragmentation_after : float;
 }
 
-val fragmentation_experiment : ?churn_ops:int -> ?seed:int64 -> unit -> frag_report
+val fragmentation_experiment : ?churn_ops:int -> unit -> frag_report
 (** Drive a create/delete churn against a small disk until allocation
     pressure shows, then run the 3 a.m. compaction (paper §3's trade-off:
     an 800 MB disk storing ~500 MB of files). *)

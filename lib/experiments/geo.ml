@@ -10,7 +10,8 @@ type geo_report = {
   publish_replicated_us : int;
 }
 
-let geo_experiment ?(file_bytes = 65_536) () =
+let geo_experiment () =
+  let file_bytes = 65_536 in
   let fed = Amoeba_wan.Federation.create ~home_region:"nl" () in
   Amoeba_wan.Federation.add_site fed ~name:"cwi" ~region:"nl";
   Amoeba_wan.Federation.add_site fed ~name:"tromso" ~region:"no";

@@ -10,7 +10,7 @@ type geo_report = {
   publish_replicated_us : int;  (** publish + ship one replica abroad *)
 }
 
-val geo_experiment : ?file_bytes:int -> unit -> geo_report
+val geo_experiment : unit -> geo_report
 (** Geographic scalability (paper §2.1): a federation spanning
     Amsterdam, a regional site and Norway; read one file from replicas
     at each distance and show nearest-replica selection. *)

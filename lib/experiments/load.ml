@@ -272,8 +272,8 @@ let assert_load_invariants r =
     (block.ov_goodput < 0.9 *. r.lr_peak_goodput);
   check "block goodput below shed goodput" (block.ov_goodput < shed.ov_goodput)
 
-let load_experiment ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(think_ms = 50)
-    ?(requests_per_client = 40) () =
+let load_experiment () =
+  let client_counts = [ 1; 2; 4; 8; 16; 32; 64 ] and think_ms = 50 and requests_per_client = 40 in
   let think_us = think_ms * 1000 in
   let bullet_parts = bullet_load_profiles () in
   let nfs_parts = nfs_load_profiles () in

@@ -59,8 +59,7 @@ type load_report = {
   lr_overload : overload_point list;
 }
 
-val load_experiment :
-  ?client_counts:int list -> ?think_ms:int -> ?requests_per_client:int -> unit -> load_report
+val load_experiment : unit -> load_report
 (** Raises [Failure] if any acceptance invariant is violated: knee
     throughput must beat the serial bound, shedding must hold goodput
     within 10% of peak, and blocking must collapse below it. *)

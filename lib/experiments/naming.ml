@@ -8,7 +8,8 @@ type naming_report = {
   wide_stepwise_us : int;
 }
 
-let naming_experiment ?(depth = 5) () =
+let naming_experiment () =
+  let depth = 5 in
   let bed = make_bullet_bed () in
   let dirs = Amoeba_dir.Dir_server.create ~store:bed.b_client () in
   let transport = Bullet_core.Client.transport bed.b_client in

@@ -8,7 +8,7 @@ type naming_report = {
   wide_stepwise_us : int;
 }
 
-val naming_experiment : ?depth:int -> unit -> naming_report
+val naming_experiment : unit -> naming_report
 (** Path resolution cost: the directory server walks "a/b/.../leaf" in
     one RPC vs the client looking up each component. On the local
     Ethernet the difference is small; across a gateway it is the

@@ -16,7 +16,7 @@ let pfactor_matrix ?(sizes = [ 4_096; 65_536; 1_048_576 ]) () =
   in
   List.map row sizes
 
-let pfactor_sweep ?(size = 65_536) () = snd (List.hd (pfactor_matrix ~sizes:[ size ] ()))
+let pfactor_sweep () = snd (List.hd (pfactor_matrix ~sizes:[ 65_536 ] ()))
 
 let run () =
   header "PFACT - create delay vs Paranoia Factor (64 KB file)";

@@ -1,6 +1,6 @@
 (** PFACT — CREATE delay against the Paranoia Factor (claim C5). *)
 
-val pfactor_sweep : ?size:int -> unit -> (int * int) list
+val pfactor_sweep : unit -> (int * int) list
 (** [(p_factor, create_delay_us)] for P-FACTOR 0, 1, 2. *)
 
 val pfactor_matrix : ?sizes:int list -> unit -> (int * (int * int) list) list

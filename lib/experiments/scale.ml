@@ -16,7 +16,8 @@ type scale_report = {
   nfs_points : scale_point list;
 }
 
-let scale_experiment ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64; 128 ]) ?(think_ms = 100) () =
+let scale_experiment ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64; 128 ]) () =
+  let think_ms = 100 in
   let size = 4_096 in
   (* measured server-side demand: what actually queues at the one
      dedicated server machine *)

@@ -16,7 +16,7 @@ type scale_report = {
   nfs_points : scale_point list;
 }
 
-val scale_experiment : ?client_counts:int list -> ?think_ms:int -> unit -> scale_report
+val scale_experiment : ?client_counts:int list -> unit -> scale_report
 (** Quantitative scalability (paper §2: "there may be thousands of
     processors accessing files"): a closed loop of pool processors
     reading 4 KB files. Server demands are measured on the real

@@ -11,7 +11,8 @@ type trace_report = {
   nfs_p99_ms : float;
 }
 
-let trace_replay ?(ops = 400) ?(seed = 0x7ACEL) ?mix () =
+let trace_replay ?(ops = 400) ?mix () =
+  let seed = 0x7ACEL in
   let trace =
     Workload.Trace.generate ?mix ~prng:(Prng.create ~seed) ~warmup_files:20 ~ops ()
   in

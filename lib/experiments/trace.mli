@@ -11,7 +11,7 @@ type trace_report = {
   nfs_p99_ms : float;
 }
 
-val trace_replay : ?ops:int -> ?seed:int64 -> ?mix:Workload.Trace.mix -> unit -> trace_report
+val trace_replay : ?ops:int -> ?mix:Workload.Trace.mix -> unit -> trace_report
 (** Replay the same BSD-style trace (1984 size distribution, 75 %
     whole-file reads by default) against both servers end to end. *)
 

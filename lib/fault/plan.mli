@@ -34,15 +34,8 @@ type txn_edge =
     (commit/abort) request, and the ack carried on its reply. *)
 type txn_leg = Prepare_request | Prepare_reply | Decision_request | Decision_reply
 
-val txn_edge_name : txn_edge -> string
-(** The DSL spelling ([coord_before_prepare], …). *)
-
-val txn_edge_of_name : string -> txn_edge option
-
 val txn_leg_name : txn_leg -> string
 (** The DSL spelling ([prepare_req], …). *)
-
-val txn_leg_of_name : string -> txn_leg option
 
 type event =
   | Drive_fail of int  (** take the [i]th mirror drive offline *)

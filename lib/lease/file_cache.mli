@@ -23,8 +23,6 @@ val insert : t -> Amoeba_cap.Capability.t -> bytes -> unit
 val remove : t -> Amoeba_cap.Capability.t -> unit
 (** Drop one entry (revocation path); absent keys are ignored. *)
 
-val capacity : t -> int
-
 val used_bytes : t -> int
 
 val resident_files : t -> int

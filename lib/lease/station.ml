@@ -232,11 +232,6 @@ let read t ~dir name =
       Trace.end_span_attrs tr [ ("raised", Sink.S "raised") ];
       raise e)
 
-let lease_info t dir =
-  match Hashtbl.find_opt t.leases (Cap.to_string dir) with
-  | Some ls when ls.epoch >= 0 -> Some (ls.epoch, ls.deadline)
-  | _ -> None
-
 let register_metrics t reg =
   let module M = Amoeba_metrics.Metrics in
   (* churn = lease lifecycle events beyond what steady cached reads

@@ -17,9 +17,6 @@
 
 type config = { cache_bytes : int  (** client file-cache capacity *) }
 
-val default_config : config
-(** A 4 MB cache. *)
-
 type t
 
 val create :
@@ -50,15 +47,6 @@ val set_skew : t -> int -> unit
     [Lease_clock_skew] fault hook. Stepping the clock {e backwards}
     drops every held lease: deadlines measured on the faster clock can
     no longer be trusted. Forward steps only expire leases early. *)
-
-val skew : t -> int
-
-val drop_leases : t -> unit
-(** Forget every lease and binding (cached bytes stay; they cannot be
-    served without a fresh lease). *)
-
-val lease_info : t -> Amoeba_cap.Capability.t -> (int * int) option
-(** [(epoch, deadline)] of the lease held on a directory, if any. *)
 
 val trusted : t -> bool
 

@@ -59,7 +59,8 @@ type client = {
   service : Amoeba_cap.Port.t;
 }
 
-let connect ?(model = Amoeba_rpc.Net_model.amoeba) transport service =
+let connect transport service =
+  let model = Amoeba_rpc.Net_model.amoeba in
   { transport; model; service }
 
 let checked t request =

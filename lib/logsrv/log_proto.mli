@@ -3,32 +3,13 @@
     Appends carry only the new record — the point of having a separate
     server for logs (paper §2). *)
 
-val cmd_create_log : int
-
-val cmd_append : int
-
-val cmd_sync : int
-
-val cmd_length : int
-
-val cmd_durable_length : int
-
-val cmd_read : int
-
-val cmd_compact : int
-
-val cmd_delete : int
-
-val dispatch : Log_store.t -> Amoeba_rpc.Message.t -> Amoeba_rpc.Message.t
-
 val serve : Log_store.t -> Amoeba_rpc.Transport.t -> unit
 
 (** {1 Client} *)
 
 type client
 
-val connect :
-  ?model:Amoeba_rpc.Net_model.t -> Amoeba_rpc.Transport.t -> Amoeba_cap.Port.t -> client
+val connect : Amoeba_rpc.Transport.t -> Amoeba_cap.Port.t -> client
 (** Stubs raise {!Amoeba_rpc.Status.Error} on failure. *)
 
 val create_log : client -> Amoeba_cap.Capability.t

@@ -29,7 +29,8 @@ type t = {
   mutable next_obj : int;
 }
 
-let create ?(config = default_config) ?(seed = 0x4C4F475356L) ~store () =
+let create ?(config = default_config) ~store () =
+  let seed = 0x4C4F475356L in
   {
     config;
     store;
@@ -43,8 +44,6 @@ let create ?(config = default_config) ?(seed = 0x4C4F475356L) ~store () =
   }
 
 let port t = t.service_port
-
-let stats t = t.stats
 
 let charge_cpu t = Amoeba_sim.Clock.advance t.clock cpu_request_us
 

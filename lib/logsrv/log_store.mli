@@ -20,11 +20,9 @@ type config = { segment_bytes : int  (** tail size that triggers a segment seal 
 val default_config : config
 (** 64 KB segments. *)
 
-val create : ?config:config -> ?seed:int64 -> store:Bullet_core.Client.t -> unit -> t
+val create : ?config:config -> store:Bullet_core.Client.t -> unit -> t
 
 val port : t -> Amoeba_cap.Port.t
-
-val stats : t -> Amoeba_sim.Stats.t
 
 val create_log : t -> Amoeba_cap.Capability.t
 (** A new, empty log; the capability carries all rights. *)

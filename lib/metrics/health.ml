@@ -211,10 +211,5 @@ module Slo = struct
          (fun st -> if st.is_firing then Some st.alert.al_name else None)
          t.alerts)
 
-  let burn_rate t key =
-    match List.find_opt (fun st -> String.equal st.alert.al_name key) t.alerts with
-    | None -> 0
-    | Some st -> burn st
-
   let transitions t = List.rev t.edges_rev
 end

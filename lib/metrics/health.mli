@@ -97,9 +97,6 @@ module Slo : sig
   val firing : t -> string list
   (** Names of currently-firing alerts, sorted. *)
 
-  val burn_rate : t -> string -> int
-  (** Current burn percentage for the named alert (0 if unknown). *)
-
   val transitions : t -> (int * string * bool) list
   (** Every fire ([true]) / clear ([false]) edge, oldest first. *)
 end

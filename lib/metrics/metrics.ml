@@ -20,8 +20,6 @@ type registry = t
 
 let create reg_name = { reg_name; instruments = [] }
 
-let name t = t.reg_name
-
 let register t key inst =
   if List.exists (fun (k, _) -> String.equal k key) t.instruments then
     raise (Duplicate_metric key);
@@ -30,8 +28,6 @@ let register t key inst =
 let gauge t key f = register t key (I_gauge f)
 
 let stats_source t ~prefix stats = register t prefix (I_source stats)
-
-let metric_names t = List.sort String.compare (List.map fst t.instruments)
 
 (* ---- snapshots ---- *)
 
@@ -228,5 +224,4 @@ module Scraper = struct
 
   let ring t = t.sc_ring
 
-  let registry t = t.sc_registry
 end

@@ -26,8 +26,6 @@ type registry = t
 val create : string -> t
 (** [create name] is an empty registry labelled [name] in expositions. *)
 
-val name : t -> string
-
 val gauge : t -> string -> (unit -> int) -> unit
 (** Register a sampled gauge; the thunk runs at every scrape.  Raises
     {!Duplicate_metric} if the name is taken. *)
@@ -37,9 +35,6 @@ val stats_source : t -> prefix:string -> Amoeba_sim.Stats.t -> unit
     [k] appears as [prefix ^ "." ^ k], every histogram likewise.  A cell
     made with {!Amoeba_sim.Stats.counter} scrapes as 0 before its first
     bump.  The prefix itself must be unique in the registry. *)
-
-val metric_names : t -> string list
-(** Registered names (sources by their prefix), sorted. *)
 
 (** {2 Snapshots} *)
 
@@ -113,5 +108,4 @@ module Scraper : sig
   (** Scrape unconditionally, push, and restart the interval. *)
 
   val ring : t -> Ring.t
-  val registry : t -> registry
 end

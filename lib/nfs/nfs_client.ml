@@ -7,7 +7,8 @@ type t = {
   service : Amoeba_cap.Port.t;
 }
 
-let connect ?(model = Amoeba_rpc.Net_model.sunos_nfs) transport service =
+let connect transport service =
+  let model = Amoeba_rpc.Net_model.sunos_nfs in
   { transport; model; service }
 
 let block_bytes = Ufs_layout.fs_block_bytes

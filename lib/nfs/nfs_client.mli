@@ -8,9 +8,8 @@
 
 type t
 
-val connect :
-  ?model:Amoeba_rpc.Net_model.t -> Amoeba_rpc.Transport.t -> Amoeba_cap.Port.t -> t
-(** [model] defaults to {!Amoeba_rpc.Net_model.sunos_nfs}. *)
+val connect : Amoeba_rpc.Transport.t -> Amoeba_cap.Port.t -> t
+(** Over the {!Amoeba_rpc.Net_model.sunos_nfs} network model. *)
 
 val block_bytes : int
 (** Per-RPC transfer unit (8 KB). *)

@@ -106,11 +106,7 @@ let mount ?(config = default_config) device =
 
 let port t = t.service_port
 
-let clock t = t.clock
-
 let stats t = t.stats
-
-let cache_stats t = Buffer_cache.stats t.cache
 
 let free_blocks t = t.free_blocks
 

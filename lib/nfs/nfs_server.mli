@@ -35,8 +35,6 @@ val mount : ?config:config -> Amoeba_disk.Block_device.t -> (t, string) result
 
 val port : t -> Amoeba_cap.Port.t
 
-val clock : t -> Amoeba_sim.Clock.t
-
 val create : t -> (fhandle, Amoeba_rpc.Status.t) result
 (** Allocate an inode and write it through (the creat() RPC). *)
 
@@ -62,5 +60,3 @@ val free_blocks : t -> int
 val live_files : t -> int
 
 val stats : t -> Amoeba_sim.Stats.t
-
-val cache_stats : t -> Amoeba_sim.Stats.t

@@ -42,8 +42,6 @@ let to_string = function
   | Server_failure -> "server failure"
   | Timeout -> "timeout"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 exception Error of t
 
 let check = function Ok -> () | err -> raise (Error err)

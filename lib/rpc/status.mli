@@ -23,8 +23,6 @@ val of_int : int -> t
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 exception Error of t
 (** Raised by client stubs on a non-[Ok] reply. *)
 

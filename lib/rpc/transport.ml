@@ -66,8 +66,6 @@ let register t port service =
 
 let unregister t port = Port_table.remove t.services port
 
-let lookup t port = Port_table.find_opt t.services port
-
 let set_fault_hook t hook = t.fault_hook <- hook
 
 let set_tracer t tracer = t.tracer <- tracer

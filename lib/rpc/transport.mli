@@ -61,8 +61,6 @@ val register : t -> Amoeba_cap.Port.t -> service -> unit
 val unregister : t -> Amoeba_cap.Port.t -> unit
 (** Remove a service, e.g. to simulate a crashed server. *)
 
-val lookup : t -> Amoeba_cap.Port.t -> service option
-
 val set_fault_hook : t -> fault_hook option -> unit
 (** Install (or with [None] remove) the delivery fault hook. *)
 

@@ -8,10 +8,6 @@ val encode : Message.t -> bytes
 val decode : bytes -> (Message.t, string) result
 (** Decode the payload of one frame (without the length prefix). *)
 
-val max_frame_bytes : int
-(** Upper bound accepted by {!decode} and the stream readers (64 MB —
-    far above any whole-file transfer the servers allow). *)
-
 val read_frame : Unix.file_descr -> (bytes, string) result
 (** Read one complete frame payload from a stream socket; [Error] on EOF
     or malformed length. *)

@@ -128,12 +128,6 @@ val run :
     All means are uniform over the profile list, matching the round-robin
     client-to-profile assignment. *)
 
-val profile_total_us : profile -> int
-(** End-to-end demand of one profile — the zero-contention response time. *)
-
-val station_demands_us : config -> float array
-(** Mean demand per request placed on each station. *)
-
 val serial_response_us : config -> float
 (** Mean zero-contention response time over the profile mix. *)
 

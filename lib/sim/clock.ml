@@ -42,5 +42,3 @@ let elapsed clock f =
   (result, clock.now_us - start)
 
 let to_ms us = float_of_int us /. 1000.
-
-let pp_us ppf us = Format.fprintf ppf "%.2f ms" (to_ms us)

@@ -43,9 +43,5 @@ val elapsed : t -> (unit -> 'a) -> 'a * int
 (** [elapsed clock f] runs [f] and returns its result together with the
     virtual time it consumed. *)
 
-val pp_us : Format.formatter -> int -> unit
-(** Pretty-print a duration in microseconds as milliseconds,
-    e.g. [12.3 ms]. *)
-
 val to_ms : int -> float
 (** Microseconds to (floating-point) milliseconds. *)

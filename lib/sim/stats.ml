@@ -144,8 +144,6 @@ let create ?seed label =
     reservoir_rng = Rng.create ?seed ();
   }
 
-let name t = t.label
-
 let counter t key =
   match Hashtbl.find_opt t.counts key with
   | Some cell -> cell
@@ -246,9 +244,3 @@ let reset t =
 let counters t =
   Hashtbl.fold (fun key cell acc -> (key, !cell) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s:" t.label;
-  let pp_counter (key, v) = Format.fprintf ppf "@,  %-24s %d" key v in
-  List.iter pp_counter (counters t);
-  Format.fprintf ppf "@]"

@@ -56,8 +56,6 @@ val create : ?seed:int -> string -> t
     observations report identical percentiles.  A seed of 0 is replaced
     by the default (xorshift's fixed point). *)
 
-val name : t -> string
-
 val incr : t -> string -> unit
 (** Bump the named counter by one. *)
 
@@ -101,6 +99,3 @@ val reset : t -> unit
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render counters one per line, for debug output. *)

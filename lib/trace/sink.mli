@@ -35,14 +35,12 @@ val emit : t -> span -> unit
 val spans : t -> span list
 (** Retained spans, oldest first (emission order when not wrapped). *)
 
-val iter : t -> (span -> unit) -> unit
 val clear : t -> unit
 val capacity : t -> int
 val length : t -> int
 val dropped : t -> int
 
 val layer_name : layer -> string
-val layer_of_name : string -> layer option
 
 val line_of_span : span -> string
 (** One JSONL line, fixed field order, no trailing newline. *)

@@ -46,7 +46,6 @@ let create ?capacity ~clock () =
   }
 
 let sink t = t.sink
-let clock t = t.clock
 let open_spans t = List.length t.stack
 
 let fresh_synthetic t =

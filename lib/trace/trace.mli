@@ -17,7 +17,6 @@ val create : ?capacity:int -> clock:Amoeba_sim.Clock.t -> unit -> ctx
 (** [capacity] sizes the span ring buffer (default 65536 spans). *)
 
 val sink : ctx -> Sink.t
-val clock : ctx -> Amoeba_sim.Clock.t
 
 val open_spans : ctx -> int
 (** Depth of the open-span stack (0 between requests). *)

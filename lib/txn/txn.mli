@@ -44,7 +44,6 @@ type t
 
 val create :
   ?injector:Amoeba_fault.Injector.t ->
-  ?tracer:Amoeba_trace.Trace.ctx ->
   ?metrics:Amoeba_metrics.Metrics.t ->
   bullets:Bullet_core.Client.t list ->
   dirs:Amoeba_dir.Dir_client.t list ->
@@ -52,19 +51,16 @@ val create :
   t
 (** A coordinator over the given participant clients (decision legs are
     routed by capability port). [injector] wires the crash points;
-    [metrics] registers {!stats} under the [txn.] prefix (so
-    [txn.prepared] / [txn.committed] / [txn.aborted], 0 from creation)
-    and the [txn.in_doubt] gauge into the given registry — the
+    [metrics] registers the coordinator's counters under the [txn.]
+    prefix ([txn.txns], [txn.prepared] / [txn.committed] /
+    [txn.aborted], 0 from creation, [txn.unresolved_commits] /
+    [txn.unresolved_aborts] for decision or abort legs that timed out,
+    [txn.recovered_commits] / [txn.recovered_aborts]) and the
+    [txn.in_doubt] gauge into the given registry — the
     TXN experiment mounts them on the Bullet server's registry so
     STD_STATUS and [bullet_top] surface them. *)
 
 val wal : t -> Wal.t
-
-val stats : t -> Amoeba_sim.Stats.t
-(** Counters: [txns], [prepared], [committed], [aborted],
-    [unresolved_commits] / [unresolved_aborts] (decision or abort legs
-    timed out; {!recover} will finish the job), [recovered_commits] /
-    [recovered_aborts]. *)
 
 val in_doubt_count : t -> int
 (** Transactions begun but not yet resolved, read off the WAL. *)

@@ -51,8 +51,6 @@ val write : fd -> bytes -> int
 val lseek : fd -> int -> [ `SET | `CUR | `END ] -> int
 (** Returns the new offset. *)
 
-val fsize : fd -> int
-
 val close : t -> fd -> unit
 (** Publishes a written file as a new version; a read-only close is
     free. Double close is an error. *)

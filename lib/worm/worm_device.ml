@@ -31,8 +31,6 @@ let create ~capacity ~clock =
     stats = Amoeba_sim.Stats.create "worm";
   }
 
-let capacity t = t.capacity
-
 let used t = t.used
 
 let records t = t.count
@@ -59,5 +57,3 @@ let read t slot =
     Bytes.copy data
 
 let overwrite _t _slot _data = raise Write_once_violation
-
-let stats t = t.stats

@@ -23,8 +23,6 @@ exception Platter_full
 val create : capacity:int -> clock:Amoeba_sim.Clock.t -> t
 (** A blank platter of [capacity] bytes. *)
 
-val capacity : t -> int
-
 val used : t -> int
 
 val records : t -> int
@@ -39,5 +37,3 @@ val read : t -> slot -> bytes
 
 val overwrite : t -> slot -> bytes -> 'a
 (** Always raises {!Write_once_violation}: that is the point. *)
-
-val stats : t -> Amoeba_sim.Stats.t

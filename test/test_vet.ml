@@ -25,7 +25,7 @@ let fixture_cmts () =
     Alcotest.fail ("fixture cmts missing at " ^ fixture_cmt_dir ^ " — build the vet_fixtures library")
   | names ->
     Array.to_list names
-    |> List.filter (fun n -> Filename.check_suffix n ".cmt")
+    |> List.filter (fun n -> Filename.check_suffix n ".cmt" || Filename.check_suffix n ".cmti")
     |> List.sort String.compare
     |> List.map (Filename.concat fixture_cmt_dir)
 
@@ -37,7 +37,8 @@ let read_source file =
   match read file with Some s -> Some s | None -> read (Filename.concat ".." file)
 
 let analyze passes =
-  match Vet.analyze ~read_source ~passes (fixture_cmts ()) with
+  let cmts = fixture_cmts () in
+  match Vet.analyze ~read_source ~passes ~users:cmts cmts with
   | Ok report -> report
   | Error e -> Alcotest.fail e
 
@@ -121,6 +122,48 @@ let test_fixture_inventory () =
       ("Vet_fixtures.Fixture_metrics", "fixture.requests");
     ]
     inv.Vet.inv_metrics
+
+(* ---- exports pass: fixture_exports.mli, used by fixture_exports_user ---- *)
+
+let exports_report = lazy (analyze [ Vet.Exports ])
+
+let export_diags rule =
+  List.filter (fun (_, _, r) -> String.equal r rule) (located (Lazy.force exports_report))
+
+let message_at line =
+  List.filter_map
+    (fun d -> if d.Lint.line = line then Some d.Lint.message else None)
+    (Lazy.force exports_report).Vet.diagnostics
+
+let test_exports_dead () =
+  Alcotest.check loc "dead exports"
+    [
+      ("fixture_exports.mli", 5, "vet-dead-export"); ("fixture_exports.mli", 8, "vet-dead-export");
+    ]
+    (export_diags "vet-dead-export");
+  check_bool "no user at all" true
+    (List.exists (fun m -> contains_sub m "referenced by no compilation unit") (message_at 5))
+
+let test_exports_own_unit () =
+  (* own_only is called by fixture_exports.ml itself: not a use *)
+  check_bool "own-unit use named" true
+    (List.exists (fun m -> contains_sub m "used only inside its own unit") (message_at 8))
+
+let test_exports_alias () =
+  (* aliased (line 11) is reached only as [E.aliased] *)
+  check_int "aliased use counts" 0 (List.length (message_at 11))
+
+let test_exports_unpassed_optional () =
+  Alcotest.check loc "unused optionals"
+    [ ("fixture_exports.mli", 14, "vet-unused-optional") ]
+    (export_diags "vet-unused-optional");
+  check_bool "names the label" true
+    (List.exists (fun m -> contains_sub m "?scale of Vet_fixtures.Fixture_exports.opt_unpassed")
+       (message_at 14))
+
+let test_exports_forwarded_optional () =
+  (* opt_forwarded (line 17) gets [?scale] forwarded by a wrapper *)
+  check_int "forwarded optional counts" 0 (List.length (message_at 17))
 
 (* ---- the JSON report is byte-identical across double runs ---- *)
 
@@ -220,6 +263,13 @@ let suite =
         test_fixture_clock_read_into;
       Alcotest.test_case "taint fixture bugs at exact lines" `Quick test_fixture_taint;
       Alcotest.test_case "fixture inventory" `Quick test_fixture_inventory;
+      Alcotest.test_case "exports: dead vals at exact lines" `Quick test_exports_dead;
+      Alcotest.test_case "exports: own-unit use is not a use" `Quick test_exports_own_unit;
+      Alcotest.test_case "exports: a use through a module alias counts" `Quick test_exports_alias;
+      Alcotest.test_case "exports: unpassed optional at exact line" `Quick
+        test_exports_unpassed_optional;
+      Alcotest.test_case "exports: a forwarded optional counts" `Quick
+        test_exports_forwarded_optional;
       Alcotest.test_case "JSON double run is byte-identical" `Quick test_json_double_run;
       Alcotest.test_case "tie: unpinned collision" `Quick test_tie_unpinned;
       Alcotest.test_case "tie: anonymous sites" `Quick test_tie_unpinned_anonymous;
