@@ -68,9 +68,8 @@ val read : t -> sector:int -> count:int -> bytes
     paper's "if the main disk fails, the file server can proceed
     uninterruptedly by using the other disk". Once a piece is served,
     every live drive whose copy of its range is stale gets the bytes
-    written back off the measured path (read-repair, one
-    [resync_fallthroughs] and one [read_repairs] each), clearing the
-    range. Raises {!No_live_drive} if no drive, or no failover target,
+    written back off the measured path (read-repair, one [read_repairs]
+    each), clearing the range. Raises {!No_live_drive} if no drive, or no failover target,
     holds current bytes for a piece. *)
 
 val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> len:int -> unit
@@ -94,7 +93,19 @@ val write : t -> sync:int -> sector:int -> bytes -> unit
     loses them — the paper's P-FACTOR 0 risk. Writes aimed at an offline
     drive mark the range dirty on it instead, so a later {!rejoin} knows
     what to copy. A write landing on a resyncing drive clears its range.
-    Raises {!No_live_drive} if no drive is live. *)
+
+    A live drive that raises on a write ([Block_device.Failure]: a bad
+    sector, a transient error) is not failed: it keeps its old bytes for
+    the range, so the range is marked dirty on it and the drive turns
+    resyncing ([write_failures] stat). Reads then avoid it there, and
+    {!resync_step}, read-repair or a later write that lands make it
+    current again. A critical-path write that raised hands its place to
+    the next background drive, written after the parallel step, so the
+    write is charged for the arms that ran and [sync] drives hold it
+    whenever that many take it. A background write that raises when it
+    is applied is handled the same way. Raises {!No_live_drive} if no
+    drive is live, or if [sync > 0] and no drive took the write; every
+    drive then still holds the old bytes. *)
 
 val drain : t -> unit
 (** Apply all pending background writes now (off the measured path).
@@ -147,9 +158,10 @@ val stats : t -> Amoeba_sim.Stats.t
     piece then goes to the next current drive), [degraded_reads] (reads
     issued while at least one drive was offline), [resyncs] (failed
     drives repaired and re-copied by {!recover}), [rejoins],
-    [resync_steps], [resync_sectors], [resync_fallthroughs] (per read
-    piece, each live drive whose copy of the range was stale),
-    [read_repairs], [resyncs_completed]. *)
+    [resync_steps], [resync_sectors], [read_repairs] (per read piece,
+    each live drive whose copy of the range was stale and got it written
+    back), [write_failures] (drive writes that raised; see {!write}),
+    [resyncs_completed]. *)
 
 val register_metrics : t -> Amoeba_metrics.Metrics.t -> unit
 (** Register this mirror's live surface: [mirror.sync_state] (0 clean,

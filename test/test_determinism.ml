@@ -63,9 +63,9 @@ let test_faults_double_run () =
 let dump_resync_windows (r : R.resync_report) =
   String.concat "\n"
     (Printf.sprintf
-       "resync ops=%d failed=%d repairs=%d fallthroughs=%d steps=%d sectors=%d \
+       "resync ops=%d failed=%d repairs=%d steps=%d sectors=%d \
         online=%.6f step=%.6f normal=%.6f max=%.6f clean=%b"
-       r.R.rw_ops r.R.rw_failed r.R.rw_read_repairs r.R.rw_fallthroughs r.R.rw_resync_steps
+       r.R.rw_ops r.R.rw_failed r.R.rw_read_repairs r.R.rw_resync_steps
        r.R.rw_resync_sectors r.R.rw_online_resync_ms r.R.rw_step_cost_ms r.R.rw_normal_max_ms
        r.R.rw_max_op_ms r.R.rw_clean_at_end
     :: List.map

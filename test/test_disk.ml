@@ -399,14 +399,14 @@ let test_mirror_read_repair () =
       check_bytes "read serves current bytes" (payload 1024) (Mirror.read m ~sector:500 ~count:2);
       check_int "the stale drive read nothing" reads (Stats.count (Dev.stats stale) "reads");
       check_int "the survivor served" 1 (Stats.count (Dev.stats survivor) "reads");
-      check_int "fall-through counted" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs");
+      check_int "fall-through counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
       check_int "read-repair counted" 1 (Stats.count (Mirror.stats m) "read_repairs");
       check_bytes "repair landed on the rejoined drive" (payload 1024)
         (Dev.peek stale ~sector:500 ~count:2);
       check_string "backlog shrank" "resyncing:1022" (state_label m);
       (* the repaired region is clean now: the same read no longer falls through *)
       ignore (Mirror.read m ~sector:500 ~count:2);
-      check_int "no second fall-through" 1 (Stats.count (Mirror.stats m) "resync_fallthroughs"))
+      check_int "no second fall-through" 1 (Stats.count (Mirror.stats m) "read_repairs"))
     [ 1; 2 ]
 
 (* ---- one-copy reads: read_into against read ---- *)
@@ -540,6 +540,13 @@ let mirror_model ~faults seed =
       (List.rev !pending);
     pending := []
   in
+  (* write faults: a drive whose flag is up raises on every write, for
+     the length of one Mirror.write (its drain of earlier writes too) *)
+  let write_faults = [| false; false |] in
+  List.iteri
+    (fun i d ->
+      Dev.set_fault_hook d (Some (fun ~sector:_ ~count:_ ~write -> write && write_faults.(i))))
+    (Mirror.drives m);
   let served = ref 0 in
   let last_end = ref 0 in
   for step = 1 to 300 do
@@ -564,9 +571,19 @@ let mirror_model ~faults seed =
         Bytes.init (count * sector_bytes) (fun _ -> Char.chr (Random.State.int rng 256))
       in
       let sync = Random.State.int rng 3 in
-      match Mirror.write m ~sync ~sector data with
-      | exception Mirror.No_live_drive -> check_bool (what ^ ": faults only") true faults
-      | () ->
+      (* one write in four faults drive 1, drive 2 or both *)
+      if faults && Random.State.int rng 4 = 0 then begin
+        let which = Random.State.int rng 3 in
+        write_faults.(0) <- which <> 1;
+        write_faults.(1) <- which <> 0
+      end;
+      let outcome = try Ok (Mirror.write m ~sync ~sector data) with e -> Error e in
+      write_faults.(0) <- false;
+      write_faults.(1) <- false;
+      match outcome with
+      | Error Mirror.No_live_drive -> check_bool (what ^ ": faults only") true faults
+      | Error e -> raise e
+      | Ok () ->
         Dev.poke oracle ~sector data;
         ref_drain ();
         let writes = [ (r0, sector, data); (r1, sector, data) ] in
@@ -688,6 +705,73 @@ let test_mirror_split_bad_sector_one_drive () =
     + Geometry.access_us geometry ~sequential:true ~write:false (4 * 512))
     charged;
   check_int "on the split rig" 30_745 charged
+
+(* ---- a write that one drive raises on ---- *)
+
+let fill c = Bytes.make (8 * 512) c
+
+(* 'A' on both drives at sectors 200-207, then a bad sector at 205 on
+   drive 2 under the rewrite with 'B'. *)
+let test_mirror_write_bad_sector_one_drive () =
+  let clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:200 (fill 'A');
+  Dev.set_bad_sector d2 205;
+  let (), charged = Clock.elapsed clock (fun () -> Mirror.write m ~sync:2 ~sector:200 (fill 'B')) in
+  check_int "charged for drive 1's arm"
+    (Geometry.access_us geometry ~sequential:false ~write:true (8 * 512))
+    charged;
+  check_bytes "drive 1 took it" (fill 'B') (Dev.peek d1 ~sector:200 ~count:8);
+  check_bytes "drive 2 kept its old bytes" (fill 'A') (Dev.peek d2 ~sector:200 ~count:8);
+  check_string "the range is dirty on drive 2" "resyncing:8" (state_label m);
+  check_int "write failure counted" 1 (Stats.count (Mirror.stats m) "write_failures");
+  check_bytes "the next read is the new version, whole" (fill 'B')
+    (Mirror.read m ~sector:200 ~count:8);
+  Dev.clear_bad_sector d2 205;
+  check_int "resync copies the range" 8 (Mirror.resync_step m);
+  check_string "clean again" "clean" (state_label m);
+  check_bytes "drive 2 caught up" (fill 'B') (Dev.peek d2 ~sector:200 ~count:8)
+
+let test_mirror_write_fault_promotes_background () =
+  (* P-FACTOR 1 and the critical-path drive raises: drive 2 takes the
+     write synchronously instead of behind the reply *)
+  let clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:200 (fill 'A');
+  Dev.set_bad_sector d1 203;
+  let (), charged = Clock.elapsed clock (fun () -> Mirror.write m ~sync:1 ~sector:200 (fill 'B')) in
+  check_int "drive 2 written after drive 1 raised"
+    (Geometry.access_us geometry ~sequential:false ~write:true (8 * 512))
+    charged;
+  check_int "nothing left behind the reply" 0 (Mirror.pending_count m);
+  check_bytes "drive 2 holds it" (fill 'B') (Dev.peek d2 ~sector:200 ~count:8);
+  check_bytes "drive 1 kept its old bytes" (fill 'A') (Dev.peek d1 ~sector:200 ~count:8);
+  check_string "the range is dirty on drive 1" "resyncing:8" (state_label m);
+  check_bytes "reads the new version" (fill 'B') (Mirror.read m ~sector:200 ~count:8)
+
+let test_mirror_write_fault_everywhere () =
+  (* no drive takes it: the write raises and the old version stands *)
+  let _clock, d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:200 (fill 'A');
+  Dev.set_bad_sector d1 201;
+  Dev.set_bad_sector d2 206;
+  (match Mirror.write m ~sync:2 ~sector:200 (fill 'B') with
+  | () -> Alcotest.fail "a write no drive took must raise"
+  | exception Mirror.No_live_drive -> ());
+  check_string "nothing marked" "clean" (state_label m);
+  check_int "no failure recorded" 0 (Stats.count (Mirror.stats m) "write_failures");
+  Dev.clear_bad_sector d1 201;
+  Dev.clear_bad_sector d2 206;
+  check_bytes "the old version stands" (fill 'A') (Mirror.read m ~sector:200 ~count:8)
+
+let test_mirror_background_write_fault () =
+  (* P-FACTOR 0: the write raises only when it is applied, before the
+     next operation *)
+  let _clock, _d1, d2, m = make_mirror () in
+  Mirror.write m ~sync:2 ~sector:200 (fill 'A');
+  Mirror.write m ~sync:0 ~sector:200 (fill 'B');
+  Dev.set_bad_sector d2 200;
+  check_bytes "served from the drive that took it" (fill 'B') (Mirror.read m ~sector:200 ~count:8);
+  check_string "the range is dirty on drive 2" "resyncing:8" (state_label m);
+  check_bytes "drive 2 kept its old bytes" (fill 'A') (Dev.peek d2 ~sector:200 ~count:8)
 
 let test_mirror_recover_skips_resyncing () =
   (* d1 rejoins and is still resyncing when d2, the only current copy,
@@ -860,6 +944,13 @@ let suite =
       Alcotest.test_case "mirror split half fails over" `Quick test_mirror_split_half_fails_over;
       Alcotest.test_case "mirror split around a bad sector on one drive" `Quick
         test_mirror_split_bad_sector_one_drive;
+      Alcotest.test_case "mirror write with a bad sector on one drive" `Quick
+        test_mirror_write_bad_sector_one_drive;
+      Alcotest.test_case "mirror write fault moves a background drive forward" `Quick
+        test_mirror_write_fault_promotes_background;
+      Alcotest.test_case "mirror write no drive takes raises" `Quick
+        test_mirror_write_fault_everywhere;
+      Alcotest.test_case "mirror background write fault" `Quick test_mirror_background_write_fault;
       Alcotest.test_case "mirror recover never copies from a resyncing drive" `Quick
         test_mirror_recover_skips_resyncing;
       Alcotest.test_case "mirror reads under fail/rejoin/resync/recover match the oracle" `Quick
