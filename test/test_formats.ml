@@ -161,6 +161,34 @@ let test_directory () =
   check_bool "listing decodes" true
     (Dir_proto.decode_listing listing = [ ("alpha", cap); ("beta", cap2) ])
 
+(* An intent op is a tag byte (0 enter, 1 replace, 2 remove) and, for
+   enter and replace, the target capability. The TXN request body ends
+   with the bare name; checkpoints and WAL records give it a u16 length. *)
+let test_intents () =
+  check_hex "txn body, enter" "008123456789ab8000000100a580000000000000016e616d65"
+    (Dir_proto.encode_txn_intent (Dir.Txn_enter cap) "name");
+  check_hex "txn body, replace" "01fedcba987654000000070001ffff0000123456786e616d65"
+    (Dir_proto.encode_txn_intent (Dir.Txn_replace cap2) "name");
+  check_hex "txn body, remove" "026e616d65" (Dir_proto.encode_txn_intent Dir.Txn_remove "name");
+  let wal op = Wal.encode_record (Wal.Prepared (1, Wal.Dir_intent { dir = cap2; name = "n"; op })) in
+  check_hex "wal record, enter"
+    "010000000102fedcba987654000000070001ffff000012345678008123456789ab8000000100a5800000000000000100016e"
+    (wal (Dir.Txn_enter cap));
+  check_hex "wal record, remove"
+    "010000000102fedcba987654000000070001ffff0000123456780200016e"
+    (wal Dir.Txn_remove);
+  let rig = make_bullet () in
+  let dirs = Dir.create ~store:rig.client () in
+  let root = Dir.root dirs in
+  ok_exn (Dir.enter dirs root "gone" cap);
+  ok_exn (Dir.txn_prepare dirs ~txn:0x8000_000A root "new" (Dir.Txn_enter cap));
+  ok_exn (Dir.txn_prepare dirs ~txn:0x8000_000B root "next" (Dir.Txn_replace cap2));
+  ok_exn (Dir.txn_prepare dirs ~txn:0x8000_000C root "gone" Dir.Txn_remove);
+  ok_exn (Dir.txn_commit dirs ~txn:0x8000_000D root "done" (Dir.Txn_enter cap2));
+  check_hex "checkpoint with one intent of each op"
+    "000000020000000100000001000000010000184ec0f257dd00000000015889ebf355c30000000100ffd940ec7de24e1bba000000038000000a00000001008123456789ab8000000100a5800000000000000100036e65778000000b0000000101fedcba987654000000070001ffff00001234567800046e6578748000000c00000001020004676f6e65000000018000000d000000010004646f6e65"
+    (Client.read rig.client (ok_exn (Dir.checkpoint dirs)))
+
 let test_metrics () =
   let snap =
     {
@@ -229,6 +257,7 @@ let suite =
       Alcotest.test_case "wire frame bytes" `Quick test_wire_frame;
       Alcotest.test_case "wal record bytes" `Quick test_wal;
       Alcotest.test_case "directory checkpoint, rows and listing bytes" `Quick test_directory;
+      Alcotest.test_case "directory intent op bytes" `Quick test_intents;
       Alcotest.test_case "metrics snapshot bytes" `Quick test_metrics;
       Alcotest.test_case "archiver catalog bytes" `Quick test_archiver;
       Alcotest.test_case "stat reply and replica descriptor bytes" `Quick test_stat_and_descriptor;
