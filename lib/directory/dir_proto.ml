@@ -15,13 +15,7 @@ let cmd_remove_name = 5
 
 let cmd_list = 6
 
-let cmd_delete_dir = 7
-
 let cmd_versions = 8
-
-let cmd_restrict = 9
-
-let cmd_checkpoint = 10
 
 let cmd_get_root = 11
 
@@ -85,33 +79,19 @@ let decode_named_cap body =
     let name = Bytes.sub_string body Cap.wire_size (Bytes.length body - Cap.wire_size) in
     Some (cap, name)
 
-(* Body layout for txn prepare/commit: a one-byte op tag, the target
-   capability for enter/replace, then the name. *)
+(* Body layout for txn prepare/commit: the intent op, then the name as
+   the rest of the body. *)
 let encode_txn_intent op name =
   let buf = Buffer.create 32 in
-  (match op with
-  | Dir_server.Txn_enter cap ->
-    Buffer.add_char buf '\000';
-    Buffer.add_bytes buf (Cap.to_bytes cap)
-  | Dir_server.Txn_replace cap ->
-    Buffer.add_char buf '\001';
-    Buffer.add_bytes buf (Cap.to_bytes cap)
-  | Dir_server.Txn_remove -> Buffer.add_char buf '\002');
+  Dir_server.add_intent_op buf op;
   Buffer.add_string buf name;
   Buffer.to_bytes buf
 
 let decode_txn_intent body =
-  let len = Bytes.length body in
-  if len < 1 then None
-  else
-    let tail pos = Bytes.sub_string body pos (len - pos) in
-    match Bytes.get body 0 with
-    | '\000' when len >= 1 + Cap.wire_size ->
-      Some (Dir_server.Txn_enter (Cap.read body 1), tail (1 + Cap.wire_size))
-    | '\001' when len >= 1 + Cap.wire_size ->
-      Some (Dir_server.Txn_replace (Cap.read body 1), tail (1 + Cap.wire_size))
-    | '\002' -> Some (Dir_server.Txn_remove, tail 1)
-    | _ -> None
+  let r = R.of_bytes body in
+  match Dir_server.read_intent_op r with
+  | Ok op -> Some (op, R.string r (Bytes.length body - r.R.pos))
+  | Error _ | (exception Amoeba_sim.Codec.Truncated) -> None
 
 let name_of request = Bytes.to_string request.Message.body
 
@@ -151,19 +131,11 @@ let dispatch server request =
         Message.reply_of_result
           ~encode:(fun rows -> Message.reply ~status:Status.Ok ~body:(encode_listing rows) ())
           (Dir_server.list server cap))
-  else if command = cmd_delete_dir then
-    Message.with_cap request (fun cap ->
-        Message.reply_of_result ~encode:ok_unit (Dir_server.delete_dir server cap))
   else if command = cmd_versions then
     Message.with_cap request (fun cap ->
         Message.reply_of_result
           ~encode:(fun caps -> Message.reply ~status:Status.Ok ~body:(encode_caps caps) ())
           (Dir_server.versions server cap (name_of request)))
-  else if command = cmd_restrict then
-    Message.with_cap request (fun cap ->
-        Message.reply_of_result
-          ~encode:(fun narrowed -> Message.reply ~status:Status.Ok ~cap:narrowed ())
-          (Dir_server.restrict server cap (Amoeba_cap.Rights.of_int request.Message.arg0)))
   else if command = cmd_resolve then
     Message.with_cap request (fun cap ->
         Message.reply_of_result
@@ -197,10 +169,6 @@ let dispatch server request =
             (Dir_server.txn_commit server ~txn:request.Message.arg0 cap name op))
   else if command = cmd_txn_abort then
     Message.reply_of_result ~encode:ok_unit (Dir_server.txn_abort server ~txn:request.Message.arg0)
-  else if command = cmd_checkpoint then
-    Message.reply_of_result
-      ~encode:(fun cap -> Message.reply ~status:Status.Ok ~cap ())
-      (Dir_server.checkpoint server)
   else Message.error Status.Bad_request
 
 let serve server transport =

@@ -78,6 +78,25 @@ let rec read_list n read = if n = 0 then [] else let x = read () in x :: read_li
 
 let read_name r = R.string r (R.u16 r)
 
+(* An intent op, wherever it is sent or stored (TXN request bodies,
+   checkpoints, the coordinator's WAL): a tag byte (0 enter, 1 replace,
+   2 remove), then the target capability for enter and replace. *)
+let add_intent_op buf = function
+  | Txn_enter cap ->
+    Buffer.add_char buf '\000';
+    add_cap buf cap
+  | Txn_replace cap ->
+    Buffer.add_char buf '\001';
+    add_cap buf cap
+  | Txn_remove -> Buffer.add_char buf '\002'
+
+let read_intent_op r =
+  match R.u8 r with
+  | 0 -> Ok (Txn_enter (Cap.of_reader r))
+  | 1 -> Ok (Txn_replace (Cap.of_reader r))
+  | 2 -> Ok Txn_remove
+  | tag -> Error tag
+
 let decode_rows data =
   let r = R.of_bytes data in
   let decode_binding () =
@@ -128,24 +147,27 @@ let fresh_dir t =
   persist t dir;
   (obj, dir)
 
+(* A server with no directories yet: [create] makes the root, [restore]
+   reads the table from a checkpoint. *)
+let empty ~config ~seed ~store =
+  {
+    config;
+    store;
+    sealer = Amoeba_cap.Sealer.of_passphrase (Printf.sprintf "dir-%Ld" seed);
+    seed;
+    service_port = Amoeba_cap.Port.random (Amoeba_sim.Prng.create ~seed:(Int64.add seed 7L));
+    clock = Amoeba_rpc.Transport.clock (Bullet_core.Client.transport store);
+    dirs = Hashtbl.create 64;
+    stats = Amoeba_sim.Stats.create "directory";
+    next_obj = 1;
+    root_obj = 0;
+    checkpoint_file = None;
+    intents = [];
+    applied = [];
+  }
+
 let create ?(config = default_config) ?(seed = 0x444952535256L) ~store () =
-  let t =
-    {
-      config;
-      store;
-      sealer = Amoeba_cap.Sealer.of_passphrase (Printf.sprintf "dir-%Ld" seed);
-      seed;
-      service_port = Amoeba_cap.Port.random (Amoeba_sim.Prng.create ~seed:(Int64.add seed 7L));
-      clock = Amoeba_rpc.Transport.clock (Bullet_core.Client.transport store);
-      dirs = Hashtbl.create 64;
-      stats = Amoeba_sim.Stats.create "directory";
-      next_obj = 1;
-      root_obj = 0;
-      checkpoint_file = None;
-      intents = [];
-      applied = [];
-    }
-  in
+  let t = empty ~config ~seed ~store in
   let obj, _dir = fresh_dir t in
   t.root_obj <- obj;
   t
@@ -180,6 +202,12 @@ let verify t cap ~need =
 let ( let* ) = Result.bind
 
 let find_binding dir name = List.find_opt (fun b -> b.name = name) dir.rows
+
+(* What LOOKUP, a leased lookup and each RESOLVE step answer. *)
+let newest dir name =
+  match find_binding dir name with
+  | Some { versions = v :: _; _ } -> Ok v
+  | Some { versions = []; _ } | None -> Error Status.Not_found
 
 (* Rows, LIST replies, checkpoints and WAL intents all store a name's
    length as a u16. *)
@@ -222,19 +250,15 @@ let lookup t cap name =
   charge_cpu t;
   Amoeba_sim.Stats.incr t.stats "lookups";
   let* _obj, dir = verify t cap ~need:Amoeba_cap.Rights.read in
-  match find_binding dir name with
-  | Some { versions = newest :: _; _ } -> Ok newest
-  | Some { versions = []; _ } | None -> Error Status.Not_found
+  newest dir name
 
 let lookup_lease t cap name =
   charge_cpu t;
   Amoeba_sim.Stats.incr t.stats "lookup_leases";
   let* _obj, dir = verify t cap ~need:Amoeba_cap.Rights.read in
-  match find_binding dir name with
-  | Some { versions = newest :: _; _ } ->
-    grant_lease t dir;
-    Ok (newest, dir.epoch, t.config.lease_us)
-  | Some { versions = []; _ } | None -> Error Status.Not_found
+  let* found = newest dir name in
+  grant_lease t dir;
+  Ok (found, dir.epoch, t.config.lease_us)
 
 let renew_lease t cap =
   charge_cpu t;
@@ -261,9 +285,7 @@ let resolve t cap path =
   let step acc name =
     let* current = acc in
     let* _obj, dir = verify t current ~need:Amoeba_cap.Rights.read in
-    match find_binding dir name with
-    | Some { versions = newest :: _; _ } -> Ok newest
-    | Some { versions = []; _ } | None -> Error Status.Not_found
+    newest dir name
   in
   List.fold_left step (Ok cap) components
 
@@ -504,14 +526,7 @@ let checkpoint t =
     (fun i ->
       Codec.add_u32 buf i.txn;
       Codec.add_u32 buf i.dir_obj;
-      (match i.op with
-      | Txn_enter cap ->
-        Buffer.add_char buf '\000';
-        add_cap buf cap
-      | Txn_replace cap ->
-        Buffer.add_char buf '\001';
-        add_cap buf cap
-      | Txn_remove -> Buffer.add_char buf '\002');
+      add_intent_op buf i.op;
       add_name i.iname)
     canonical;
   Codec.add_u32 buf (List.length t.applied);
@@ -548,13 +563,9 @@ let restore ?(config = default_config) ?(seed = 0x444952535256L) ?from ~store ch
   let restore_intent r () =
     let txn = R.u32 r in
     let dir_obj = R.u32 r in
-    let op =
-      match R.u8 r with
-      | 0 -> Txn_enter (Cap.of_reader r)
-      | 1 -> Txn_replace (Cap.of_reader r)
-      | _ -> Txn_remove
-    in
-    { txn; dir_obj; iname = read_name r; op }
+    match read_intent_op r with
+    | Ok op -> { txn; dir_obj; iname = read_name r; op }
+    | Error _ -> raise (Status.Error Status.Bad_request)
   in
   let restore_applied r () =
     let a_txn = R.u32 r in
@@ -565,26 +576,11 @@ let restore ?(config = default_config) ?(seed = 0x444952535256L) ?from ~store ch
   | exception Status.Error e -> Error e
   | data -> (
     let r = R.of_bytes data in
+    let t = empty ~config ~seed ~store in
+    t.checkpoint_file <- Some checkpoint_cap;
     try
-      let next_obj = R.u32 r in
-      let root_obj = R.u32 r in
-      let t =
-        {
-          config;
-          store;
-          sealer = Amoeba_cap.Sealer.of_passphrase (Printf.sprintf "dir-%Ld" seed);
-          seed;
-          service_port = Amoeba_cap.Port.random (Amoeba_sim.Prng.create ~seed:(Int64.add seed 7L));
-          clock = Amoeba_rpc.Transport.clock (Bullet_core.Client.transport store);
-          dirs = Hashtbl.create 64;
-          stats = Amoeba_sim.Stats.create "directory";
-          next_obj;
-          root_obj;
-          checkpoint_file = Some checkpoint_cap;
-          intents = [];
-          applied = [];
-        }
-      in
+      t.next_obj <- R.u32 r;
+      t.root_obj <- R.u32 r;
       for _ = 1 to R.u32 r do
         restore_dir r t
       done;

@@ -33,14 +33,7 @@ let encode_action buf = function
   | Dir_intent { dir; name; op } ->
     Buffer.add_char buf '\002';
     add_cap buf dir;
-    (match op with
-    | Amoeba_dir.Dir_server.Txn_enter cap ->
-      Buffer.add_char buf '\000';
-      add_cap buf cap
-    | Amoeba_dir.Dir_server.Txn_replace cap ->
-      Buffer.add_char buf '\001';
-      add_cap buf cap
-    | Amoeba_dir.Dir_server.Txn_remove -> Buffer.add_char buf '\002');
+    Amoeba_dir.Dir_server.add_intent_op buf op;
     Buffer.add_uint16_be buf (String.length name);
     Buffer.add_string buf name
 
@@ -50,14 +43,9 @@ let decode_action r =
   | 1 -> Ok (Bullet_delete (Cap.of_reader r))
   | 2 ->
     let dir = Cap.of_reader r in
-    let op =
-      match R.u8 r with
-      | 0 -> Ok (Amoeba_dir.Dir_server.Txn_enter (Cap.of_reader r))
-      | 1 -> Ok (Amoeba_dir.Dir_server.Txn_replace (Cap.of_reader r))
-      | 2 -> Ok Amoeba_dir.Dir_server.Txn_remove
-      | n -> Error (Printf.sprintf "wal: unknown intent op tag %d" n)
-    in
-    Result.map (fun op -> Dir_intent { dir; name = R.string r (R.u16 r); op }) op
+    Amoeba_dir.Dir_server.read_intent_op r
+    |> Result.map_error (Printf.sprintf "wal: unknown intent op tag %d")
+    |> Result.map (fun op -> Dir_intent { dir; name = R.string r (R.u16 r); op })
   | n -> Error (Printf.sprintf "wal: unknown action tag %d" n)
 
 let encode_record record =

@@ -119,6 +119,25 @@ let test_reads_cheap_mutations_duplexed () =
   let (_ : Cap.t) = Dir_client.lookup rig.dclient root "x" in
   check_int "reads do not write" creates_mid (Amoeba_sim.Stats.count stats "creates")
 
+(* DELETE_DIR (7), RESTRICT (9) and CHECKPOINT (10) are no longer part
+   of the protocol: the pair answers them Bad_request and neither replica
+   acts on them. *)
+let test_retired_commands () =
+  let rig = make () in
+  let sub = Dir_client.make_dir rig.dclient in
+  List.iter
+    (fun command ->
+      let reply =
+        Amoeba_rpc.Transport.trans rig.bullet.transport ~model:Amoeba_rpc.Net_model.amoeba
+          (Amoeba_rpc.Message.request ~port:(Pair.port rig.pair) ~command ~cap:sub
+             ~arg0:(Amoeba_cap.Rights.to_int Amoeba_cap.Rights.read) ())
+      in
+      check_bool (Printf.sprintf "command %d is a bad request" command) true
+        (reply.Amoeba_rpc.Message.status = Status.Bad_request))
+    [ 7; 9; 10 ];
+  check_bool "the directory still exists" true (Dir_client.list rig.dclient sub = []);
+  check_bool "replicas agree" true (Pair.divergence rig.pair = None)
+
 let test_replica_dumps_canonical () =
   let rig = make () in
   let root = Dir_client.get_root rig.dclient in
@@ -196,5 +215,6 @@ let suite =
       Alcotest.test_case "divergence detector and repair" `Quick test_divergence_detector;
       Alcotest.test_case "reads cheap, mutations duplexed" `Quick test_reads_cheap_mutations_duplexed;
       Alcotest.test_case "replica dumps are canonical" `Quick test_replica_dumps_canonical;
+      Alcotest.test_case "retired commands are bad requests" `Quick test_retired_commands;
       Alcotest.test_case "plan-driven crash mid-stream" `Quick test_plan_driven_crash_mid_stream;
     ] )

@@ -179,6 +179,21 @@ let test_checkpoint_restore () =
   let (_ : Cap.t) = ok_exn (Dir.lookup revived rig.root "keep") in
   ()
 
+(* A checkpoint whose one intent carries op tag 3, which no op has, is
+   refused like a truncated one rather than read as some op. *)
+let test_restore_rejects_unknown_intent_op () =
+  let rig = make () in
+  ok_exn (Dir.enter rig.dirs rig.root "x" (file rig "1"));
+  ok_exn (Dir.txn_prepare rig.dirs ~txn:1 rig.root "x" Dir.Txn_remove);
+  let bytes = Client.read rig.bullet.client (ok_exn (Dir.checkpoint rig.dirs)) in
+  (* header (12 bytes), the root's entry with its file capability (37),
+     the intent count, then the intent's txn and directory (4 each) *)
+  let tag = 12 + 37 + 4 + 4 + 4 in
+  check_int "the remove intent's tag" 2 (Bytes.get_uint8 bytes tag);
+  Bytes.set_uint8 bytes tag 3;
+  let corrupt = Client.create rig.bullet.client bytes in
+  expect_error Status.Bad_request (Dir.restore ~store:rig.bullet.client corrupt)
+
 (* ---- via RPC client ---- *)
 
 let test_client_roundtrip () =
@@ -260,6 +275,8 @@ let suite =
       Alcotest.test_case "directory persisted as Bullet file" `Quick
         test_directory_persisted_as_bullet_file;
       Alcotest.test_case "checkpoint and restore" `Quick test_checkpoint_restore;
+      Alcotest.test_case "restore rejects an unknown intent op" `Quick
+        test_restore_rejects_unknown_intent_op;
       Alcotest.test_case "client roundtrip over RPC" `Quick test_client_roundtrip;
       Alcotest.test_case "server-side resolve" `Quick test_server_side_resolve;
       Alcotest.test_case "resolve is one RPC" `Quick test_resolve_one_rpc;
