@@ -412,40 +412,53 @@ let copy_run t ~src ~dst ~sector ~count =
   Amoeba_sim.Stats.add t.stats "resync_sectors" count;
   check_complete t dst
 
+(* One copy onto [slot]: its next dirty run, from the first other drive
+   current there. The sectors copied; 0 when the slot has no source for
+   the run or the copy raised. *)
+let resync_slot t ~batch slot =
+  match Dirty.next_run slot.dirty ~limit:batch with
+  | None ->
+    check_complete t slot;
+    0
+  | Some (sector, count) -> (
+    match Array.find_opt (fun s -> s != slot && current s ~sector ~count) t.slots with
+    | None -> 0 (* no clean replica to copy from; stay as we are *)
+    | Some src ->
+      (match t.tracer with
+      | None -> ()
+      | Some tr ->
+        Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.resync");
+      let copied =
+        match copy_run t ~src ~dst:slot ~sector ~count with
+        | () -> count
+        | exception Block_device.Failure _ -> 0
+      in
+      (match t.tracer with
+      | None -> ()
+      | Some tr ->
+        Amoeba_trace.Trace.end_span_attrs tr
+          [
+            ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device));
+            ("sector", Amoeba_trace.Sink.I sector);
+            ("count", Amoeba_trace.Sink.I copied);
+            ("remaining", Amoeba_trace.Sink.I (Dirty.remaining slot.dirty));
+          ]);
+      copied)
+
+(* A resyncing drive that cannot take its copy must not hold up the
+   others: the step goes on to the next one in slot order. *)
 let resync_step ?(batch = 256) t =
   if batch <= 0 then invalid_arg "Mirror.resync_step: batch must be positive";
   drain t;
-  match Array.find_opt (fun s -> s.syncing && slot_live s) t.slots with
-  | None -> 0
-  | Some slot -> (
-    match Dirty.next_run slot.dirty ~limit:batch with
-    | None ->
-      check_complete t slot;
-      0
-    | Some (sector, count) -> (
-      match Array.find_opt (fun s -> s != slot && current s ~sector ~count) t.slots with
-      | None -> 0 (* no clean replica to copy from; stay as we are *)
-      | Some src ->
-        (match t.tracer with
-        | None -> ()
-        | Some tr ->
-          Amoeba_trace.Trace.begin_span tr ~layer:Amoeba_trace.Sink.Disk ~name:"disk.resync");
-        let copied =
-          match copy_run t ~src ~dst:slot ~sector ~count with
-          | () -> count
-          | exception Block_device.Failure _ -> 0
-        in
-        (match t.tracer with
-        | None -> ()
-        | Some tr ->
-          Amoeba_trace.Trace.end_span_attrs tr
-            [
-              ("drive", Amoeba_trace.Sink.S (Block_device.id slot.device));
-              ("sector", Amoeba_trace.Sink.I sector);
-              ("count", Amoeba_trace.Sink.I copied);
-              ("remaining", Amoeba_trace.Sink.I (Dirty.remaining slot.dirty));
-            ]);
-        copied))
+  let n = Array.length t.slots in
+  let rec from i =
+    if i = n then 0
+    else
+      let slot = t.slots.(i) in
+      let copied = if slot.syncing && slot_live slot then resync_slot t ~batch slot else 0 in
+      if copied > 0 then copied else from (i + 1)
+  in
+  from 0
 
 let stats t = t.stats
 

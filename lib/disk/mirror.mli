@@ -134,16 +134,21 @@ val rejoin : t -> unit
     drives already online. *)
 
 val resync_step : ?batch:int -> t -> int
-(** Copy at most [batch] (default 256) contiguous dirty sectors from the
-    first other drive holding current bytes for them onto the first
-    resyncing drive, charging the read
-    and the write to the clock — this is the bounded slice of disk time
-    a resync step steals from foreground I/O. Returns the number of
-    sectors copied; [0] means there was nothing to do (no drive
-    resyncing, nothing dirty, or no clean source available). Scans
-    circularly, so repeated calls with foreground writes racing the scan
-    still terminate. When a drive's backlog reaches zero it flips to
-    clean ([resyncs_completed] stat, [mirror.resync_done] event). *)
+(** Copy at most [batch] (default 256) contiguous dirty sectors of a
+    resyncing drive's next dirty run from the first other drive holding
+    current bytes for them, charging the read and the write to the
+    clock — this is the bounded slice of disk time a resync step steals
+    from foreground I/O. The resyncing drives are tried in slot order: one
+    that makes no progress (no other drive is current for its run, or
+    the copy raised, say on a permanent bad sector) is passed over for
+    the next, so it cannot hold up the others' backlogs. A copy that
+    raised is still charged. Returns the number of sectors copied; [0]
+    means no resyncing drive could make progress (none resyncing,
+    nothing dirty, no clean source, or every copy raised). Scans each
+    drive circularly, so repeated calls with foreground writes racing
+    the scan still terminate. When a drive's backlog reaches zero it
+    flips to clean ([resyncs_completed] stat, [mirror.resync_done]
+    event). *)
 
 val set_tracer : t -> Amoeba_trace.Trace.ctx option -> unit
 (** Install the tracer on the mirror and all its drives.  Traced reads

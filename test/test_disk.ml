@@ -773,6 +773,27 @@ let test_mirror_background_write_fault () =
   check_string "the range is dirty on drive 2" "resyncing:8" (state_label m);
   check_bytes "drive 2 kept its old bytes" (fill 'A') (Dev.peek d2 ~sector:200 ~count:8)
 
+(* Drive 2 took a failed write over its bad sector 100 and can never take
+   that range back; drive 3 missed one write while offline and rejoined.
+   The steps pass drive 2 over and drain drive 3. *)
+let test_mirror_resync_passes_stuck_drive () =
+  let clock = Clock.create () in
+  let dev id = Dev.create ~id ~geometry ~clock in
+  let d1 = dev "d1" and d2 = dev "d2" and d3 = dev "d3" in
+  let m = Mirror.create [ d1; d2; d3 ] in
+  Dev.set_bad_sector d2 100;
+  Mirror.write m ~sync:3 ~sector:100 (fill 'A');
+  Dev.fail d3;
+  Mirror.write m ~sync:2 ~sector:300 (fill 'B');
+  Mirror.rejoin m;
+  check_string "both drives behind" "resyncing:1032" (state_label m);
+  let rec drain steps = if steps < 16 && Mirror.resync_step m > 0 then drain (steps + 1) in
+  drain 0;
+  check_string "only drive 2's bad range is left" "resyncing:8" (state_label m);
+  check_int "a further step moves nothing" 0 (Mirror.resync_step m);
+  check_bytes "drive 3 holds the write it missed" (fill 'B') (Dev.peek d3 ~sector:300 ~count:8);
+  check_bytes "and the one drive 2 failed" (fill 'A') (Dev.peek d3 ~sector:100 ~count:8)
+
 let test_mirror_recover_skips_resyncing () =
   (* d1 rejoins and is still resyncing when d2, the only current copy,
      fails: recover has no current source and must change nothing *)
@@ -946,6 +967,8 @@ let suite =
         test_mirror_split_bad_sector_one_drive;
       Alcotest.test_case "mirror write with a bad sector on one drive" `Quick
         test_mirror_write_bad_sector_one_drive;
+      Alcotest.test_case "mirror resync passes over a drive that cannot take its copy" `Quick
+        test_mirror_resync_passes_stuck_drive;
       Alcotest.test_case "mirror write fault moves a background drive forward" `Quick
         test_mirror_write_fault_promotes_background;
       Alcotest.test_case "mirror write no drive takes raises" `Quick
