@@ -270,7 +270,6 @@ let cluster_status ck_path () =
   | Ok info ->
     Printf.printf "cluster directory: shards %d, replicas %d\n" info.Cluster.ck_shards
       info.Cluster.ck_replicas;
-    let live (_, _, status) = status <> "dead" in
     let replicas_on name =
       List.length
         (List.filter
@@ -282,24 +281,11 @@ let cluster_status ck_path () =
       (fun (name, region, status) ->
         Printf.printf "  %-12s %-10s %-8s %8d\n" name region status (replicas_on name))
       info.Cluster.ck_servers;
-    let want = min info.Cluster.ck_replicas (max (List.length (List.filter live info.Cluster.ck_servers)) 1) in
-    let under =
-      List.filter_map
-        (fun (key, holds) ->
-          let n =
-            List.length
-              (List.filter
-                 (fun (srv, _) ->
-                   List.exists (fun (m, _, s) -> m = srv && s <> "dead") info.Cluster.ck_servers)
-                 holds)
-          in
-          if n < want then Some key else None)
-        info.Cluster.ck_objects
-    in
+    let _want, under = Cluster.replication info in
     Printf.printf "objects %d, under-replicated %d%s\n"
       (List.length info.Cluster.ck_objects)
       (List.length under)
-      (match under with [] -> "" | keys -> ": " ^ String.concat " " keys)
+      (match under with [] -> "" | short -> ": " ^ String.concat " " (List.map fst short))
 
 open Cmdliner
 

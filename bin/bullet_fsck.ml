@@ -215,20 +215,12 @@ let run_cluster ck_path member_specs =
   if booted <> [] && missing = [] then
     Printf.printf "inode tables      %d member(s) back every claimed replica\n"
       (List.length booted);
-  let want = min info.Cluster.ck_replicas (max (List.length live) 1) in
-  let verified key holds =
-    List.filter
-      (fun (srv, _) ->
-        List.exists (fun (n, _, _) -> n = srv) live
-        && not (List.exists (fun (k, s) -> k = key && s = srv) missing))
-      holds
+  (* a replica missing on disk is no copy *)
+  let on_disk (key, holds) =
+    (key, List.filter (fun (srv, _) -> not (List.mem (key, srv) missing)) holds)
   in
-  let under =
-    List.filter_map
-      (fun (key, holds) ->
-        let n = List.length (verified key holds) in
-        if n < want then Some (key, n) else None)
-      info.Cluster.ck_objects
+  let want, under =
+    Cluster.replication { info with Cluster.ck_objects = List.map on_disk info.Cluster.ck_objects }
   in
   (match under with
   | [] -> Printf.printf "replication       every object at %d live cop%s\n" want

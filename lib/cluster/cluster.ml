@@ -388,14 +388,24 @@ let rebalance t =
   done;
   !total
 
+(* The one replication rule: with [live] servers up, a key wants
+   [min replicas (max live 1)] copies on servers [alive] accepts. The
+   want, and each key short of it with its live copies, in input order. *)
+let short_keys ~replicas ~live ~alive objects =
+  let want = min replicas (max live 1) in
+  ( want,
+    List.filter_map
+      (fun (key, holds) ->
+        let n = List.length (List.filter (fun (srv, _) -> alive srv) holds) in
+        if n < want then Some (key, n) else None)
+      objects )
+
 let under_replicated t =
-  let live_count = List.length (Ring.members t.ring) in
-  let want = min replicas (max live_count 1) in
-  List.filter_map
-    (fun (key, e) ->
-      let live = List.filter (fun (srv, _) -> alive t srv) e.holds in
-      if List.length live < want then Some key else None)
-    (Tbl.sorted_bindings String.compare t.directory)
+  let _want, short =
+    short_keys ~replicas ~live:(List.length (Ring.members t.ring)) ~alive:(alive t)
+      (List.map (fun (key, e) -> (key, e.holds)) (Tbl.sorted_bindings String.compare t.directory))
+  in
+  List.map fst short
 
 (* ---- introspection ---- *)
 
@@ -473,6 +483,16 @@ let parse_checkpoint text =
     { ck_shards = 0; ck_replicas = 0; ck_servers = []; ck_objects = [] }
     1
     (String.split_on_char '\n' text)
+
+let replication info =
+  let live =
+    List.filter_map
+      (fun (name, _, status) -> if status <> "dead" then Some name else None)
+      info.ck_servers
+  in
+  short_keys ~replicas:info.ck_replicas ~live:(List.length live)
+    ~alive:(fun srv -> List.mem srv live)
+    info.ck_objects
 
 let stats t = t.stats
 

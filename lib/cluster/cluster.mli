@@ -165,6 +165,13 @@ val parse_checkpoint : string -> (checkpoint_info, string) result
 (** Inverse of {!checkpoint} — what [bullet_fsck --cluster] and
     [bullet_ctl cluster] load. *)
 
+val replication : checkpoint_info -> int * (string * int) list
+(** The {!under_replicated} rule over a checkpoint, the one both tools
+    apply: [(want, short)], where [want] is [min ck_replicas (max live
+    1)] over the servers not marked dead, and [short] is each object
+    with fewer than [want] holders among those servers, with that count,
+    in checkpoint order. *)
+
 val stats : t -> Amoeba_sim.Stats.t
 (** Counters: [server_joins], [server_kills],
     [routed_reads], [fallthroughs], [read_repairs], [migrated_objects],
