@@ -742,7 +742,7 @@ let sink_name name =
     | None -> name
   in
   String.equal base "checkpoint" || String.equal base "repersist"
-  || String.equal base "replica_dumps" || String.equal base "dump_replica"
+  || String.equal base "replica_dumps" || String.equal base "replica_lines"
   || starts_with "persist" base
 
 let taint_pass ~allows_for units g =

@@ -4,11 +4,14 @@
     and availability. ... Availability implies the need for replication"
     (paper §2). The Bullet server gets availability from its mirrored
     disks; the directory service gets it here, by state-machine
-    replication: the two replicas are deterministic (same seed), every
-    mutating operation is applied to both, so they evolve identically —
-    same object numbers, same randoms, same capabilities. Reads go to
-    the primary; when it fails, the backup answers the very same
-    capabilities without any client-visible change.
+    replication: the two replicas are deterministic (same seed) and every
+    command except the read-only ones (LOOKUP, LIST, VERSIONS, RESOLVE,
+    GET_ROOT) is applied to both, so they evolve identically — same
+    object numbers, same randoms, same capabilities, same lease horizons
+    and 2PC intents. A command added later replicates unless it joins
+    the read-only list. Reads go to the primary; when it fails, the
+    backup answers the very same capabilities without any client-visible
+    change.
 
     Each replica persists its directories through its own Bullet client,
     so the two copies can live on different Bullet servers (different
@@ -49,9 +52,11 @@ val serve : t -> Amoeba_rpc.Transport.t -> unit
     directory operations carry [xid = 0] and bypass it. *)
 
 val divergence : t -> string option
-(** Compare the two replicas' listings recursively from the root;
-    [None] when they agree, [Some path] naming the first disagreement
-    otherwise. For tests and fsck-style auditing. *)
+(** [None] when the two replicas' walks agree line for line (see
+    {!replica_dumps}), else [Some path]: the path of the first line
+    where they differ, taken from the primary's walk unless it has
+    ended. A directory capability that differs counts, as a leaf's
+    does. For tests and fsck-style auditing. *)
 
 val primary : t -> Dir_server.t
 (** The primary replica, for audits (e.g. comparing checkpoints byte
@@ -60,8 +65,8 @@ val primary : t -> Dir_server.t
 val backup : t -> Dir_server.t
 
 val replica_dumps : t -> string * string
-(** A canonical rendering (path + capability per line, recursively from
-    the root) of each replica's directory state. Converged replicas
-    produce byte-identical strings — stronger than {!divergence}, which
-    recurses through directory capabilities instead of comparing
-    them. *)
+(** A canonical rendering of each replica's directory state, primary
+    first: one [path capability] line for the root (path [""]) and for
+    each binding, newest version, in listing order, a directory's own
+    line before its contents. Converged replicas produce byte-identical
+    strings; {!divergence} walks the same lines. *)
